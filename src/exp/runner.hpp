@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/types.hpp"
@@ -86,6 +87,11 @@ struct RunResult {
   std::string policy_name;
   Seconds slo = 0.0;
   RequestLog requests;
+  /// Request-path state of the serve_workload call filling this result
+  /// (type-erased; private to exp/runner.cpp).  Its scheduled events point
+  /// into it, so it lives as long as the result, or until the caller
+  /// resets it once the run has drained.
+  std::shared_ptr<void> serve_state;
 
   EmpiricalDistribution e2e_distribution() const;
   double mean_cpu() const;
@@ -97,13 +103,17 @@ RunResult run_workload(const WorkloadSpec& workload, SizingPolicy& policy,
                        const RunConfig& config);
 
 /// Schedules one workload's full request stream onto a caller-owned engine
-/// and platform (which must wrap the same engine) and appends completed
+/// and platform (which must wrap the same engine and host exactly the
+/// workload's chain functions, in chain order) and appends completed
 /// records to `out` while the caller runs the engine.  `platform`,
-/// `policy`, and `out` must outlive the run; all per-request state lives
-/// in the scheduled closures.  Multiple tenants can serve on one engine: each call uses
-/// only its own platform/policy/rng streams, so a tenant's records are
-/// bit-identical no matter what else shares the calendar — this is what
-/// lets the fleet simulator put one SimEngine per shard.
+/// `policy`, and `out` must outlive the run: the per-request state — a
+/// slab of in-flight requests, reused as requests finish — is owned by
+/// `out.serve_state`, and the scheduled closures point into it.  Once the
+/// slab has reached the run's peak in-flight count, serving a request
+/// performs no heap allocation.  Multiple tenants can serve on one engine:
+/// each call uses only its own platform/policy/rng streams, so a tenant's
+/// records are bit-identical no matter what else shares the calendar —
+/// this is what lets the fleet simulator put one SimEngine per shard.
 void serve_workload(SimEngine& engine, Platform& platform,
                     const WorkloadSpec& workload, SizingPolicy& policy,
                     const RunConfig& config, RunResult& out);

@@ -80,7 +80,8 @@ class EpochFeed final : public CoLocationProvider {
  public:
   EpochFeed(std::size_t stages, bool live) : per_stage_(stages), live_(live) {}
 
-  CoLocationDistribution stage_distribution(std::size_t stage) const override {
+  const CoLocationDistribution& stage_distribution(
+      std::size_t stage) const override {
     require(stage < per_stage_.size(),
             "epoch feed does not cover this chain stage");
     return per_stage_[stage];

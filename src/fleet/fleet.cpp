@@ -249,9 +249,10 @@ void run_wave(const FleetConfig& config, FleetPlan& plan, ThreadPool& pool,
   std::vector<char> folded(n, 0);
 
   // Streaming fold: one column scan, then the tenant's entire simulator
-  // footprint — request log arena, platform, policy — is released.  The
-  // aggregates are exact under any fold order (integer counts, integer-
-  // valued cpu sums), so folding at completion time cannot show through.
+  // footprint — request log arena, serve state, platform, policy — is
+  // released.  The aggregates are exact under any fold order (integer
+  // counts, integer-valued cpu sums), so folding at completion time cannot
+  // show through.
   const auto stream_fold = [&](std::size_t i) {
     const RequestLog& log = results[i].requests;
     std::uint64_t viol = 0;
@@ -271,6 +272,7 @@ void run_wave(const FleetConfig& config, FleetPlan& plan, ThreadPool& pool,
     tc.cold_starts = platforms[i]->cold_starts();
     out.counters.merge(tc);
     results[i].requests.release();
+    results[i].serve_state.reset();
     platforms[i].reset();
     policies[i].reset();
     folded[i] = 1;

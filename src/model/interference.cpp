@@ -89,7 +89,7 @@ CoLocationDistribution CoLocationDistribution::concentrated(double mean) {
   return dist;
 }
 
-CoLocationDistribution StaticCoLocation::stage_distribution(
+const CoLocationDistribution& StaticCoLocation::stage_distribution(
     std::size_t stage) const {
   require(stage < per_stage_.size(),
           "co-location provider does not cover this chain stage");

@@ -94,9 +94,12 @@ class CoLocationProvider {
  public:
   virtual ~CoLocationProvider() = default;
   /// Distribution currently in effect for chain stage `stage`; throws when
-  /// the provider does not cover the stage.
-  virtual CoLocationDistribution stage_distribution(std::size_t stage)
-      const = 0;
+  /// the provider does not cover the stage.  Returned by reference: live
+  /// tenants read it on every stage launch, so a copy would put a heap
+  /// allocation on the event path.  The reference stays valid until the
+  /// provider next changes that stage.
+  virtual const CoLocationDistribution& stage_distribution(
+      std::size_t stage) const = 0;
   /// Number of stages covered.
   virtual std::size_t stages() const noexcept = 0;
   /// Whether the distributions can shift mid-run (epoch feed).
@@ -110,7 +113,8 @@ class StaticCoLocation final : public CoLocationProvider {
   explicit StaticCoLocation(std::vector<CoLocationDistribution> per_stage)
       : per_stage_(std::move(per_stage)) {}
 
-  CoLocationDistribution stage_distribution(std::size_t stage) const override;
+  const CoLocationDistribution& stage_distribution(
+      std::size_t stage) const override;
   std::size_t stages() const noexcept override { return per_stage_.size(); }
 
  private:

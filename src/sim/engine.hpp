@@ -42,12 +42,16 @@
 namespace janus {
 
 /// Inline capture budget for one scheduled event.  The largest producer is
-/// Platform's completion closure (this + indices + InvocationOutcome + the
-/// caller's InvokeFn); exp/runner's open-loop arrival closures are far
-/// smaller.  Both are static_asserted against this budget at their
-/// construction sites by InlineFunction itself.  Keep this as small as
-/// those captures allow: slot size times pending events is the pool's
-/// working set, and large-fleet runs keep ~100k events pending.
+/// Platform's completion closure: `this`, two indices, the 48-byte
+/// InvocationOutcome and the caller's 64-byte InvokeFn fill it exactly.
+/// exp/runner's own captures are 16 bytes each — the stage completion
+/// ({state, slab slot, size}, carried inside that InvokeFn) and the
+/// open-loop arrival ({state, request index}) — because all request state
+/// lives in the runner's slab, not in closures.  Every capture is
+/// static_asserted against its budget at its construction site by
+/// InlineFunction itself.  Keep this as small as those captures allow:
+/// slot size times pending events is the pool's working set, and
+/// large-fleet runs keep ~100k events pending.
 inline constexpr std::size_t kEventCaptureBytes = 128;
 using EventFn = InlineFunction<void(), kEventCaptureBytes>;
 

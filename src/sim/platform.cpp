@@ -110,6 +110,7 @@ JANUS_HOT Platform::Acquired Platform::acquire(int fn_index, Millicores size) {
     nodes_[static_cast<std::size_t>(p.node)].used += size;
     ++pods_per_cell_[cell(p.node, fn_index)];
     ++pods_per_function_[static_cast<std::size_t>(fn_index)];
+    reserve_warm_capacity(fn_index);
     return {pod, config_.pool.warm_start_s * startup_mult_, false};
   }
   // 3. Cold start a fresh pod — unless the scale-out limit is reached, in
@@ -126,15 +127,25 @@ JANUS_HOT Platform::Acquired Platform::acquire(int fn_index, Millicores size) {
   pods_.push_back(p);
   ++pods_per_cell_[cell(p.node, fn_index)];
   ++pods_per_function_[static_cast<std::size_t>(fn_index)];
+  reserve_warm_capacity(fn_index);
   ++cold_starts_;
   return {static_cast<int>(pods_.size()) - 1,
           config_.pool.cold_start_s * startup_mult_, true};
 }
 
+void Platform::reserve_warm_capacity(int fn_index) {
+  auto& warm = idle_[static_cast<std::size_t>(fn_index) + 1];
+  const auto pods = static_cast<std::size_t>(
+      pods_per_function_[static_cast<std::size_t>(fn_index)]);
+  if (warm.capacity() < pods) {
+    warm.reserve(std::max(pods, 2 * warm.capacity()));
+  }
+}
+
 JANUS_HOT void Platform::invoke(int fn_index, Millicores size, Concurrency c,
                                 double ws_factor,
                                 std::optional<double> exogenous_interference,
-                                InvokeFn done) {
+                                InvokeFn&& done) {
   const FunctionModel& model = function(fn_index);
   require(size > 0, "size must be > 0 millicores");
   require(c >= 1, "concurrency must be >= 1");
@@ -159,7 +170,7 @@ JANUS_HOT void Platform::invoke(int fn_index, Millicores size, Concurrency c,
 JANUS_HOT void Platform::start_on_pod(
     int fn_index, const Acquired& got, Millicores size, Concurrency c,
     double ws_factor, std::optional<double> exogenous_interference,
-    Seconds queued_s, InvokeFn done) {
+    Seconds queued_s, InvokeFn&& done) {
   const FunctionModel& model = function(fn_index);
   auto& pod = pods_[static_cast<std::size_t>(got.pod)];
   pod.busy = true;
@@ -195,17 +206,20 @@ JANUS_HOT void Platform::start_on_pod(
 JANUS_HOT void Platform::schedule_completion(Seconds delay, int pod_index,
                                              int fn_index,
                                              const InvocationOutcome& outcome,
-                                             InvokeFn done) {
+                                             InvokeFn&& done) {
+  // The only move of `done` on the invocation path: into this closure
+  // (and with it into the engine's slot), where the event calls it in
+  // place.  Every hop before this one passed it by reference.
   engine_.schedule_after(
       delay, [this, pod_index, fn_index, outcome,
               done = std::move(done)]() mutable {
-        finish_invocation(pod_index, fn_index, outcome, std::move(done));
+        finish_invocation(pod_index, fn_index, outcome, done);
       });
 }
 
 JANUS_HOT void Platform::finish_invocation(int pod_index, int fn_index,
                                            InvocationOutcome outcome,
-                                           InvokeFn done) {
+                                           InvokeFn& done) {
   auto& p = pods_[static_cast<std::size_t>(pod_index)];
   if (p.preempted) {
     // The pod was killed mid-flight (chaos preemption): its accounting was
@@ -225,8 +239,8 @@ JANUS_HOT void Platform::finish_invocation(int pod_index, int fn_index,
   p.busy = false;
   --busy_per_cell_[cell(p.node, fn_index)];
   --busy_per_function_[static_cast<std::size_t>(fn_index)];
-  // janus-lint: allow(hot-path-growth) the idle list previously held
-  // this pod, so its capacity is already sufficient.
+  // janus-lint: allow(hot-path-growth) reserve_warm_capacity sized the
+  // warm list for every pod of the function when this pod was specialized.
   idle_[static_cast<std::size_t>(fn_index) + 1].push_back(pod_index);
   done(outcome);
 
@@ -252,7 +266,7 @@ JANUS_HOT void Platform::finish_invocation(int pod_index, int fn_index,
 JANUS_HOT void Platform::retry_invocation(int fn_index, Millicores size,
                                           Seconds exec_single,
                                           InvocationOutcome prior,
-                                          InvokeFn done) {
+                                          InvokeFn&& done) {
   const Acquired got = acquire(fn_index, size);
   if (got.pod < 0) {
     // Scale-out limit: the retry waits in the same FIFO as fresh
@@ -279,7 +293,7 @@ JANUS_HOT void Platform::retry_invocation(int fn_index, Millicores size,
 JANUS_HOT void Platform::resume_retry(int fn_index, const Acquired& got,
                                       Millicores size, Seconds exec_single,
                                       InvocationOutcome prior,
-                                      Seconds queued_s, InvokeFn done) {
+                                      Seconds queued_s, InvokeFn&& done) {
   (void)size;
   auto& pod = pods_[static_cast<std::size_t>(got.pod)];
   pod.busy = true;

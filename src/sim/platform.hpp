@@ -81,10 +81,14 @@ static_assert(sizeof(InvocationOutcome) == 48,
 /// Completion callback for one invocation.  Inline (no heap fallback) so
 /// the platform's completion closure — which embeds one of these — fits a
 /// single EventFn slot and the steady-state event path never allocates.
-/// The budget covers exp/runner's launch_stage capture (two shared_ptrs +
-/// a size) with headroom; an oversized capture fails to compile.  Kept
-/// tight deliberately: this type is embedded in every scheduled completion
+/// The budget covers exp/runner's stage-completion capture (a state
+/// pointer, a slab slot and a size: 16 trivially copyable bytes) with
+/// headroom; an oversized capture fails to compile.  Kept tight
+/// deliberately: this type is embedded in every scheduled completion
 /// event, so its size sets the event slot pool's cache footprint.
+///
+/// Platform passes the callback by rvalue reference through every hop and
+/// moves it only into the completion event, which calls it in place.
 inline constexpr std::size_t kInvokeCaptureBytes = 48;
 using InvokeFn =
     InlineFunction<void(const InvocationOutcome&), kInvokeCaptureBytes>;
@@ -97,6 +101,10 @@ class Platform {
 
   /// Number of registered functions.
   std::size_t function_count() const noexcept { return functions_.size(); }
+  /// The registered functions, by index (serve_workload's chain stages).
+  const std::vector<FunctionModel>& functions() const noexcept {
+    return functions_;
+  }
   const FunctionModel& function(int fn_index) const;
 
   /// Invokes function `fn_index` with `size` millicores and batch size `c`.
@@ -106,7 +114,7 @@ class Platform {
   /// multiplier is sampled from the co-location actually present.
   /// `done` fires at completion with the outcome.
   void invoke(int fn_index, Millicores size, Concurrency c, double ws_factor,
-              std::optional<double> exogenous_interference, InvokeFn done);
+              std::optional<double> exogenous_interference, InvokeFn&& done);
 
   /// Busy same-function pods currently on the node hosting most instances
   /// of `fn_index` (diagnostic; used by tests and the fig1c bench).
@@ -206,6 +214,11 @@ class Platform {
   };
   Acquired acquire(int fn_index, Millicores size);
 
+  /// Pod-creation path (specialize or cold start): grows the function's
+  /// warm idle list, geometrically, to hold every pod of the function, so
+  /// returning a pod to it at completion never reallocates.
+  void reserve_warm_capacity(int fn_index);
+
   /// A queued invocation waiting for a pod of its function to free up.
   struct PendingInvocation {
     Millicores size;
@@ -226,15 +239,17 @@ class Platform {
   void start_on_pod(int fn_index, const Acquired& got, Millicores size,
                     Concurrency c, double ws_factor,
                     std::optional<double> exogenous_interference,
-                    Seconds queued_s, InvokeFn done);
+                    Seconds queued_s, InvokeFn&& done);
 
   /// Completion-event body shared by first runs and retries: frees the pod
   /// and delivers the outcome — or, if the pod was preempted mid-flight,
   /// tombstones it and re-runs the invocation (re-paying the pod's
   /// recorded exec_single in full; the accumulated outcome.exec_s cannot
-  /// recover it once a retry happened).
+  /// recover it once a retry happened).  `done` is the callback stored in
+  /// the firing event's slot: it is called in place, or moved onward into
+  /// the retry.
   void finish_invocation(int pod_index, int fn_index,
-                         InvocationOutcome outcome, InvokeFn done);
+                         InvocationOutcome outcome, InvokeFn& done);
 
   /// Re-runs a preempted invocation: re-enters the standard acquire path
   /// (warm, generic, cold, or the pending queue at the scale-out limit),
@@ -242,18 +257,18 @@ class Platform {
   /// hence the execution time — stays the original draw: same work, drawn
   /// once, so preemption perturbs no other tenant's rng stream.
   void retry_invocation(int fn_index, Millicores size, Seconds exec_single,
-                        InvocationOutcome prior, InvokeFn done);
+                        InvocationOutcome prior, InvokeFn&& done);
 
   /// Starts a retry on an acquired pod, accumulating into `prior`.
   void resume_retry(int fn_index, const Acquired& got, Millicores size,
                     Seconds exec_single, InvocationOutcome prior,
-                    Seconds queued_s, InvokeFn done);
+                    Seconds queued_s, InvokeFn&& done);
 
   /// Schedules the completion event for a running invocation, `delay` from
   /// now.  The delay is explicit because outcome times are accumulated
   /// across retries and cannot recover the current attempt's duration.
   void schedule_completion(Seconds delay, int pod_index, int fn_index,
-                           const InvocationOutcome& outcome, InvokeFn done);
+                           const InvocationOutcome& outcome, InvokeFn&& done);
 
   /// Flat (node, function) cell index for the incremental counters.
   JANUS_HOT std::size_t cell(int node, int fn) const noexcept {

@@ -1,6 +1,7 @@
 // Tests for src/sim: event engine ordering (including the differential
 // ladder-vs-heap replay and the allocation-free steady-state contract),
-// platform pod lifecycle, warm pools, co-location packing, invoke outcomes.
+// platform pod lifecycle, warm pools, co-location packing, invoke outcomes,
+// and the allocation-free request path through exp/runner's serve_workload.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,21 +9,27 @@
 #include <cmath>
 #include <cstdlib>
 #include <functional>
+#include <limits>
+#include <memory>
 #include <new>
 #include <queue>
 #include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "exp/runner.hpp"
+#include "fleet/control.hpp"
+#include "fleet/policies.hpp"
 #include "model/workloads.hpp"
 #include "sim/engine.hpp"
 #include "sim/platform.hpp"
 
 // ---- Allocation-counting hook -------------------------------------------
 // Replaces this binary's global operator new/delete with counting
-// forwarders.  The ladder engine promises zero per-event heap allocations
-// once its pools are warm; SteadyStateEventPathDoesNotAllocate measures a
-// churn window against this counter to hold it to that.
+// forwarders.  The ladder engine and the runner's request path promise
+// zero per-event heap allocations once their pools are warm; the
+// SteadyState*DoesNotAllocate tests measure a window against this counter
+// to hold them to that.
 namespace {
 std::atomic<std::size_t> g_alloc_count{0};
 
@@ -611,6 +618,65 @@ TEST(Platform, UnlimitedPodsNeverQueue) {
   }
   EXPECT_EQ(platform.queued_invocations(), 0u);
   engine.run();
+}
+
+// ----------------------------------------------------------------- runner --
+// One open-loop IA tenant through serve_workload.  run_until(t_warm) lets
+// every retained-capacity structure reach its high-water mark: the engine's
+// slot pool and buckets, the platform's pods and idle lists, the runner's
+// in-flight slab.  The rest of the run — steady-state arrivals, then the
+// drain — must not touch the heap: no per-request state, no per-stage
+// vector growth, no per-launch copy of a co-location distribution.
+enum class Sizing { kStatic, kLiveContention };
+
+std::size_t serve_tail_allocations(Sizing sizing, bool stage_detail) {
+  const WorkloadSpec ia = make_ia();
+  const std::vector<FunctionModel> models = ia.chain_models();
+  RunConfig rc;
+  rc.requests = 3000;
+  rc.open_loop_rate = 10.0;
+  rc.record_stage_detail = stage_detail;
+  EpochFeed feed(models.size(), /*live=*/sizing == Sizing::kLiveContention);
+  for (std::size_t s = 0; s < models.size(); ++s) {
+    feed.set_stage(s, CoLocationDistribution::concentrated(2.5));
+  }
+  rc.colocation_provider = &feed;
+
+  SimEngine engine;
+  PlatformConfig pc = rc.platform;
+  pc.seed = 17;
+  Platform platform(engine, pc, models, rc.interference);
+  std::unique_ptr<SizingPolicy> policy = std::make_unique<FixedSizingPolicy>(
+      "fixed", std::vector<Millicores>(models.size(), 2000));
+  if (sizing == Sizing::kLiveContention) {
+    policy = std::make_unique<ContentionAwarePolicy>(std::move(policy), feed,
+                                                     0.25);
+  }
+  RunResult out;
+  serve_workload(engine, platform, ia, *policy, rc, out);
+
+  // Arrivals span ~300 simulated seconds; warm through two thirds of them.
+  engine.run_until(200.0);
+  EXPECT_GT(out.requests.size(), 1000u);
+  const std::size_t before = g_alloc_count.load();
+  engine.run_until(std::numeric_limits<Seconds>::infinity());
+  const std::size_t allocs = g_alloc_count.load() - before;
+  EXPECT_EQ(engine.pending(), 0u);
+  EXPECT_EQ(out.requests.size(), static_cast<std::size_t>(rc.requests));
+  return allocs;
+}
+
+TEST(Runner, SteadyStateServeWorkloadDoesNotAllocate) {
+  EXPECT_EQ(serve_tail_allocations(Sizing::kStatic, /*stage_detail=*/true),
+            0u)
+      << "static path with per-stage detail allocated";
+  EXPECT_EQ(serve_tail_allocations(Sizing::kStatic, /*stage_detail=*/false),
+            0u)
+      << "static path without per-stage detail allocated";
+  EXPECT_EQ(
+      serve_tail_allocations(Sizing::kLiveContention, /*stage_detail=*/false),
+      0u)
+      << "live epoch feed with contention-aware sizing allocated";
 }
 
 }  // namespace
