@@ -3,9 +3,12 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <map>
 #include <memory>
 #include <sstream>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "common/json.hpp"
 #include "common/log.hpp"
@@ -25,10 +28,23 @@ std::uint64_t tenant_seed(std::uint64_t fleet_seed, std::size_t tenant) {
       .next();
 }
 
-/// Everything one tenant needs, derived up front (shard-independent).
+/// One distinct workload of the fleet, built once at plan time: the spec
+/// and its chain models in chain order (what each tenant's Platform
+/// hosts).  Shards only read it.
+struct InternedWorkload {
+  WorkloadSpec spec;
+  std::vector<FunctionModel> chain;
+};
+
+/// What the plan derives for one tenant (shard-independent): a pointer to
+/// its interned workload and the plan's own outputs.  Everything else a
+/// run needs is built on the shard by tenant_run_config.
 struct TenantSetup {
-  WorkloadSpec workload;
-  RunConfig run;
+  const InternedWorkload* workload = nullptr;
+  Seconds slo = 0.0;
+  /// The arrival spec after the chaos flash-crowd rewrite; null when no
+  /// rewrite ran and the tenant's own spec applies.
+  std::unique_ptr<const ArrivalSpec> flashed;
 };
 
 std::string fmt_double(double v) {
@@ -66,15 +82,17 @@ void validate_fleet(const FleetConfig& config) {
   }
 }
 
-/// The shard-independent plan: catalog artifacts, per-tenant run configs,
-/// and the control plane's plan-time packing.  Built once on the caller
-/// thread; shard threads only read it, except that each shard writes the
-/// run configs of its own tenants.
+/// The shard-independent plan: catalog artifacts, interned workloads,
+/// per-tenant setups, and the control plane's plan-time packing.  Built
+/// once on the caller thread; shard threads only read it.
 struct FleetPlan {
   std::unique_ptr<PolicyCatalog> own_catalog;
   PolicyCatalog* catalog = nullptr;
   std::unique_ptr<ControlPlane> control;
   std::unique_ptr<ChaosEngine> chaos_eng;
+  /// One entry per distinct workload name; std::map nodes never move, so
+  /// the TenantSetup pointers into it stay valid.
+  std::map<std::string, InternedWorkload> workloads;
   std::vector<TenantSetup> setups;
   std::vector<EpochFeed*> feeds;
 };
@@ -108,38 +126,27 @@ FleetPlan plan_fleet(const FleetConfig& config) {
     require(spec.contention_alpha >= 0.0,
             "tenant contention alpha must be >= 0");
     require_fleet_policy(spec.policy);
-    TenantSetup setup;
-    setup.workload = workload_by_name(spec.workload);
     // Validate the arrival spec *now*: the fleet has no closed-loop
     // tenants, and a bad spec must fail here, not as NaN inside the pod
     // estimate or as a throw on a shard thread.
     (void)make_arrivals(spec.arrivals);
-    const auto models = setup.workload.chain_models();
-
-    RunConfig rc;
-    rc.slo = tenant_slo(spec, setup.workload);
-    rc.concurrency = spec.concurrency;
-    rc.requests = spec.requests;
-    rc.seed = tenant_seed(config.seed, t);
-    // Trace replay carries its own rhythm: the open-loop gate just needs a
-    // positive rate (the process ignores it), so use the trace's mean.
-    rc.open_loop_rate = spec.arrivals.kind == ArrivalKind::Trace
-                            ? spec.arrivals.mean_rate()
-                            : spec.arrivals.rate;
-    rc.arrivals = spec.arrivals;
-    if (plan.chaos_eng) {
+    auto [it, fresh] = plan.workloads.try_emplace(spec.workload);
+    InternedWorkload& workload = it->second;
+    if (fresh) {
+      workload.spec = workload_by_name(spec.workload);
+      workload.chain = workload.spec.chain_models();
+    }
+    TenantSetup& setup = plan.setups.emplace_back();
+    setup.workload = &workload;
+    setup.slo = tenant_slo(spec, workload.spec);
+    if (config.chaos.flash_crowds) {
       // Flash crowds rewrite the arrival spec at plan time (the window
       // must live inside the arrival process).  The pod plan below
       // deliberately keeps using mean_rate(), which excludes the window:
       // the crowd is a transient the capacity plan does not see coming.
-      rc.arrivals = plan.chaos_eng->apply_flash(t, rc.arrivals);
+      setup.flashed = std::make_unique<const ArrivalSpec>(
+          plan.chaos_eng->apply_flash(t, spec.arrivals));
     }
-    rc.platform = config.platform;
-    rc.colocation_is_default = false;
-    // The fleet merge reads only the flat e2e/cpu/violated columns, so
-    // per-stage detail stays off — at six-figure tenant counts the detail
-    // columns would dominate peak RSS for nothing.
-    rc.record_stage_detail = false;
 
     // Steady-state pods per stage (Little's law over the arrival process's
     // long-run rate) at the policy's plan-time allocation seed the control
@@ -147,24 +154,71 @@ FleetPlan plan_fleet(const FleetConfig& config) {
     // frozen on the static path, shifted at every barrier on the live
     // path.
     const std::vector<Millicores> plan_mc = plan.catalog->plan_sizes(
-        spec.policy, setup.workload, rc.slo, spec.concurrency, spec.size_mc);
+        spec.policy, workload.spec, setup.slo, spec.concurrency,
+        spec.size_mc);
     const double rate = spec.arrivals.mean_rate();
     std::vector<int> stage_pods;
-    stage_pods.reserve(models.size());
-    for (std::size_t s = 0; s < models.size(); ++s) {
+    stage_pods.reserve(workload.chain.size());
+    for (std::size_t s = 0; s < workload.chain.size(); ++s) {
       const Seconds stage_s =
-          models[s].exec_time(plan_mc[s], spec.concurrency, 1.0, 1.0);
+          workload.chain[s].exec_time(plan_mc[s], spec.concurrency, 1.0, 1.0);
       stage_pods.push_back(
           std::max(1, static_cast<int>(std::ceil(rate * stage_s))));
     }
-    EpochFeed& feed = plan.control->plan_tenant(stage_pods, plan_mc);
-    plan.feeds.push_back(&feed);
-    rc.colocation_provider = &feed;
-    setup.run = std::move(rc);
-    plan.setups.push_back(std::move(setup));
+    plan.feeds.push_back(&plan.control->plan_tenant(stage_pods, plan_mc));
   }
   return plan;
 }
+
+/// Tenant t's run config.  The plan stores none: each shard builds it
+/// right before serve_workload, which keeps no pointer into it.
+RunConfig tenant_run_config(const FleetConfig& config, const FleetPlan& plan,
+                            std::size_t t, TraceRing* ring) {
+  const TenantSpec& spec = config.tenants[t];
+  const TenantSetup& setup = plan.setups[t];
+  RunConfig rc;
+  rc.slo = setup.slo;
+  rc.concurrency = spec.concurrency;
+  rc.requests = spec.requests;
+  rc.seed = tenant_seed(config.seed, t);
+  // Trace replay carries its own rhythm: the open-loop gate just needs a
+  // positive rate (the process ignores it), so use the trace's mean.
+  rc.open_loop_rate = spec.arrivals.kind == ArrivalKind::Trace
+                          ? spec.arrivals.mean_rate()
+                          : spec.arrivals.rate;
+  rc.arrivals = setup.flashed ? *setup.flashed : spec.arrivals;
+  rc.platform = config.platform;
+  rc.colocation_is_default = false;
+  // The fleet merge reads only the flat e2e/cpu/violated columns, so
+  // per-stage detail stays off — at six-figure tenant counts the detail
+  // columns would dominate peak RSS for nothing.
+  rc.record_stage_detail = false;
+  rc.colocation_provider = plan.feeds[t];
+  if (ring != nullptr) {
+    rc.trace_ring = ring;
+    rc.trace_sample_every = config.obs.sample_every;
+    rc.trace_tenant = static_cast<std::uint32_t>(t);
+  }
+  return rc;
+}
+
+/// Shard s's share of tenants [lo, hi): t ≡ s (mod shards), in increasing
+/// t.  The first such t, or >= hi when the shard has none.
+std::size_t first_tenant_of_shard(std::size_t s, std::size_t shards,
+                                  std::size_t lo) {
+  return lo + (s + shards - lo % shards) % shards;
+}
+
+/// One shard's streaming-fold subtotals.  Every field is an integer count
+/// or an integer-valued sum, so merging the partials in any grouping gives
+/// the same bits as a serial fold.
+struct FoldPartial {
+  Histogram hist{0.0, 1.0, 1};
+  std::uint64_t requests = 0;
+  std::uint64_t violations = 0;
+  double cpu = 0.0;
+  ObsCounters counters;
+};
 
 /// Runs tenants [lo, hi) as one wave and folds them into `out`: setup on
 /// the shards, simulate to each epoch barrier and reconcile, then fold.
@@ -207,37 +261,33 @@ void run_wave(const FleetConfig& config, FleetPlan& plan, ThreadPool& pool,
     engines[s] = std::make_unique<SimEngine>();
     SimEngine& engine = *engines[s];
     if (config.obs.enabled()) engine.set_obs(&engine_obs[s]);
-    for (std::size_t t = lo + (s + shards - lo % shards) % shards; t < hi;
+    for (std::size_t t = first_tenant_of_shard(s, shards, lo); t < hi;
          t += shards) {
       const std::size_t i = t - lo;
-      TenantSetup& setup = plan.setups[t];
+      const InternedWorkload& workload = *plan.setups[t].workload;
       const TenantSpec& spec = config.tenants[t];
-      PlatformConfig pc = setup.run.platform;
-      pc.seed = setup.run.seed ^ 0x9e3779b97f4a7c15ULL;
-      platforms[i] = std::make_unique<Platform>(
-          engine, pc, setup.workload.chain_models(), setup.run.interference);
+      const RunConfig rc = tenant_run_config(
+          config, plan, t, config.obs.trace ? &rings[i] : nullptr);
+      PlatformConfig pc = rc.platform;
+      pc.seed = rc.seed ^ 0x9e3779b97f4a7c15ULL;
+      platforms[i] = std::make_unique<Platform>(engine, pc, workload.chain,
+                                                rc.interference);
       if (config.obs.enabled()) platforms[i]->set_obs(&counters[i]);
-      if (config.obs.trace) {
-        setup.run.trace_ring = &rings[i];
-        setup.run.trace_sample_every = config.obs.sample_every;
-        setup.run.trace_tenant = static_cast<std::uint32_t>(t);
-      }
       // Every shard calls make_policy at once, and the catalog's maps are
       // unsynchronized.  That is safe only because plan_fleet's plan_sizes
       // call already created every entry make_policy reads for this
       // (policy, workload, slo, conc): here the catalog is only looked up.
       std::unique_ptr<SizingPolicy> policy =
-          plan.catalog->make_policy(spec.policy, setup.workload,
-                                    setup.run.slo, spec.concurrency,
-                                    spec.size_mc);
+          plan.catalog->make_policy(spec.policy, workload.spec, rc.slo,
+                                    spec.concurrency, spec.size_mc);
       if (spec.contention_alpha > 0.0) {
         policy = std::make_unique<ContentionAwarePolicy>(
             std::move(policy), *plan.feeds[t], spec.contention_alpha,
             plan.catalog->config().kmax);
       }
       policies[i] = std::move(policy);
-      serve_workload(engine, *platforms[i], setup.workload, *policies[i],
-                     setup.run, results[i]);
+      serve_workload(engine, *platforms[i], workload.spec, *policies[i], rc,
+                     results[i]);
     }
   });
 
@@ -248,34 +298,52 @@ void run_wave(const FleetConfig& config, FleetPlan& plan, ThreadPool& pool,
   std::vector<std::uint64_t> slo_violations(n, 0);
   std::vector<char> folded(n, 0);
 
-  // Streaming fold: one column scan, then the tenant's entire simulator
-  // footprint — request log arena, serve state, platform, policy — is
-  // released.  The aggregates are exact under any fold order (integer
-  // counts, integer-valued cpu sums), so folding at completion time cannot
-  // show through.
-  const auto stream_fold = [&](std::size_t i) {
-    const RequestLog& log = results[i].requests;
-    std::uint64_t viol = 0;
-    double cpu = 0.0;
-    for (const auto& req : log) {
-      viol += req.violated ? 1 : 0;
-      cpu += req.cpu_mc;
-      out.slice_hist.add(req.e2e);
-    }
-    out.requests_total += log.size();
-    out.violations_total += viol;
-    out.cpu_total += cpu;
-    slo_cursor[i] = log.size();
-    slo_violations[i] = viol;
-    ObsCounters tc = counters[i];
-    tc.invocations = platforms[i]->invocations();
-    tc.cold_starts = platforms[i]->cold_starts();
-    out.counters.merge(tc);
-    results[i].requests.release();
-    results[i].serve_state.reset();
-    platforms[i].reset();
-    policies[i].reset();
-    folded[i] = 1;
+  // Streaming fold, on the shard threads: shard s scans the column of each
+  // unfolded tenant it built — all of them, or only those whose stream is
+  // complete — into its own partial, then releases the tenant's entire
+  // simulator footprint (request log arena, serve state, platform, policy)
+  // on the thread that allocated it.  The aggregates are exact under any
+  // fold order and grouping (integer counts, integer-valued cpu sums), so
+  // neither folding at completion time nor the shard split can show
+  // through.  `folded` is a vector<char>, not vector<bool>: shards write
+  // distinct elements of it concurrently.
+  std::vector<FoldPartial> partials(stream ? shards : 0);
+  for (FoldPartial& part : partials) {
+    part.hist = Histogram(0.0, config.hist_max_s, config.hist_bins);
+  }
+  const auto stream_fold = [&](bool finished_only) {
+    pool.parallel_for(shards, [&](std::size_t s) {
+      FoldPartial& part = partials[s];
+      for (std::size_t t = first_tenant_of_shard(s, shards, lo); t < hi;
+           t += shards) {
+        const std::size_t i = t - lo;
+        const RequestLog& log = results[i].requests;
+        const auto total =
+            static_cast<std::size_t>(config.tenants[t].requests);
+        if (folded[i] != 0 || (finished_only && log.size() != total)) {
+          continue;
+        }
+        std::uint64_t viol = 0;
+        for (const auto& req : log) {
+          viol += req.violated ? 1 : 0;
+          part.cpu += req.cpu_mc;
+          part.hist.add(req.e2e);
+        }
+        part.requests += log.size();
+        part.violations += viol;
+        slo_cursor[i] = log.size();
+        slo_violations[i] = viol;
+        ObsCounters tc = counters[i];
+        tc.invocations = platforms[i]->invocations();
+        tc.cold_starts = platforms[i]->cold_starts();
+        part.counters.merge(tc);
+        results[i].requests.release();
+        results[i].serve_state.reset();
+        platforms[i].reset();
+        policies[i].reset();
+        folded[i] = 1;
+      }
+    });
   };
 
   Seconds epoch_end = control.live() ? control.epoch_s() : kNoEpochs;
@@ -401,13 +469,7 @@ void run_wave(const FleetConfig& config, FleetPlan& plan, ThreadPool& pool,
     if (stream) {
       // Fold (and free) every tenant that finished its stream this
       // epoch — after the timeline read, which still wanted the log.
-      for (std::size_t i = 0; i < n; ++i) {
-        if (folded[i] == 0 &&
-            results[i].requests.size() ==
-                static_cast<std::size_t>(config.tenants[lo + i].requests)) {
-          stream_fold(i);
-        }
-      }
+      stream_fold(/*finished_only=*/true);
     }
     epoch_end += control.epoch_s();
   }
@@ -417,8 +479,13 @@ void run_wave(const FleetConfig& config, FleetPlan& plan, ThreadPool& pool,
   // epoch are left).
   prof.begin("merge");
   if (stream) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (folded[i] == 0) stream_fold(i);
+    stream_fold(/*finished_only=*/false);
+    for (const FoldPartial& part : partials) {
+      out.slice_hist.merge(part.hist);
+      out.requests_total += part.requests;
+      out.violations_total += part.violations;
+      out.cpu_total += part.cpu;
+      out.counters.merge(part.counters);
     }
   } else {
     for (std::size_t i = 0; i < n; ++i) {

@@ -80,12 +80,13 @@ struct TenantSpec {
 struct FleetConfig {
   std::vector<TenantSpec> tenants;
   int shards = 1;
-  /// Streaming merge: fold each tenant's metrics into the slice
-  /// accumulator the moment it completes and release its request log,
-  /// platform, and policy — memory stays O(active tenants) instead of
-  /// O(total requests).  The cost is per-tenant reporting: no TenantResult
-  /// rows, fleet_e2e stays empty, and fleet p50/p99 come from the merged
-  /// histogram (Histogram::percentile) rather than exact order statistics.
+  /// Streaming merge: once a tenant completes (checked at each barrier and
+  /// at the end of its wave), its shard folds its metrics into a per-shard
+  /// accumulator and releases its request log, platform, and policy —
+  /// memory stays O(active tenants) instead of O(total requests).  The
+  /// cost is per-tenant reporting: no TenantResult rows, fleet_e2e stays
+  /// empty, and fleet p50/p99 come from the merged histogram
+  /// (Histogram::percentile) rather than exact order statistics.
   /// Requires span tracing and chaos off.  The epoch audit trail, counter
   /// set, and scalar fleet metrics are bit-identical to the default path.
   bool stream_metrics = false;

@@ -127,7 +127,8 @@ std::shared_ptr<const HintsBundle> PolicyCatalog::bundle(
       tables.push_back(HintsTable::from_csv(text));
     }
     if (!tables.empty()) {
-      if (tables.size() != workload.chain_models().size()) {
+      require(workload.workflow.is_chain(), "workflow is not a chain");
+      if (tables.size() != workload.workflow.size()) {
         throw_invalid("hints dir holds a partial bundle for workload '" +
                       workload.name + "' (one CSV per suffix required)");
       }
@@ -187,7 +188,8 @@ const std::vector<Millicores>& PolicyCatalog::orion(
 std::unique_ptr<SizingPolicy> PolicyCatalog::make_policy(
     const std::string& name, const WorkloadSpec& workload, Seconds slo,
     Concurrency conc, Millicores fixed_mc) {
-  const std::size_t stages = workload.chain_models().size();
+  require(workload.workflow.is_chain(), "workflow is not a chain");
+  const std::size_t stages = workload.workflow.size();
   if (name == "fixed") {
     require(fixed_mc > 0, "fixed policy needs a positive allocation");
     return std::make_unique<FixedSizingPolicy>(
@@ -234,8 +236,8 @@ std::vector<Millicores> PolicyCatalog::plan_sizes(const std::string& name,
                                                   Seconds slo,
                                                   Concurrency conc,
                                                   Millicores fixed_mc) {
-  const auto models = workload.chain_models();
-  const std::size_t stages = models.size();
+  require(workload.workflow.is_chain(), "workflow is not a chain");
+  const std::size_t stages = workload.workflow.size();
   if (name == "fixed") {
     require(fixed_mc > 0, "fixed policy needs a positive allocation");
     return std::vector<Millicores>(stages, fixed_mc);
@@ -250,6 +252,7 @@ std::vector<Millicores> PolicyCatalog::plan_sizes(const std::string& name,
   // interference = 1), advancing elapsed time with the model's mean
   // latency at each chosen size.  Pure function of the catalog artifacts,
   // so packing stays shard-independent.
+  const std::vector<FunctionModel> models = workload.chain_models();
   auto policy = make_policy(name, workload, slo, conc, fixed_mc);
   const RequestDraw draw = neutral_draw(stages);
   std::vector<Millicores> sizes;

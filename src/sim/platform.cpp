@@ -29,6 +29,9 @@ Platform::Platform(SimEngine& engine, PlatformConfig config,
   // use, which is what gives it "excellent performance against cold starts").
   const int generic = config_.pool.prewarm_per_function *
                       static_cast<int>(functions_.size());
+  const auto prewarmed = static_cast<std::size_t>(std::max(generic, 0));
+  pods_.reserve(prewarmed);
+  idle_[0].reserve(prewarmed);
   for (int i = 0; i < generic; ++i) {
     Pod pod;
     pod.node = i % config_.nodes;

@@ -1,7 +1,8 @@
 // Tests for src/sim: event engine ordering (including the differential
 // ladder-vs-heap replay and the allocation-free steady-state contract),
 // platform pod lifecycle, warm pools, co-location packing, invoke outcomes,
-// and the allocation-free request path through exp/runner's serve_workload.
+// the allocation-free request path through exp/runner's serve_workload,
+// and the per-tenant allocation budget of a streamed fleet.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +20,7 @@
 #include "common/rng.hpp"
 #include "exp/runner.hpp"
 #include "fleet/control.hpp"
+#include "fleet/fleet.hpp"
 #include "fleet/policies.hpp"
 #include "model/workloads.hpp"
 #include "sim/engine.hpp"
@@ -677,6 +679,28 @@ TEST(Runner, SteadyStateServeWorkloadDoesNotAllocate) {
       serve_tail_allocations(Sizing::kLiveContention, /*stage_detail=*/false),
       0u)
       << "live epoch feed with contention-aware sizing allocated";
+}
+
+// ------------------------------------------------------------------ fleet --
+// Per-tenant setup cost of a streamed static fleet, end to end through
+// run_fleet: plan (interned workloads, catalog lookups, packing), shard
+// construction (Platform, policy, serve state), simulation and fold.  At
+// six-figure tenant counts every allocation here is paid 100k times.
+TEST(Fleet, StreamedTenantAllocationBudget) {
+  constexpr int kTenants = 2048;
+  FleetConfig config;
+  config.tenants = make_tenant_mix(kTenants, 10, 10.0, ArrivalKind::Poisson,
+                                   /*mixed_kinds=*/true);
+  config.shards = 2;
+  config.stream_metrics = true;
+  const std::size_t before = g_alloc_count.load();
+  const FleetResult result = run_fleet(config);
+  const std::size_t allocs = g_alloc_count.load() - before;
+  EXPECT_EQ(result.total_requests, static_cast<std::size_t>(kTenants) * 10u);
+  const double per_tenant =
+      static_cast<double>(allocs) / static_cast<double>(kTenants);
+  EXPECT_LE(per_tenant, 110.0) << allocs << " allocations for " << kTenants
+                               << " tenants";
 }
 
 }  // namespace
