@@ -1,11 +1,11 @@
 // Six-figure tenant scale: 100k tenants through the streaming,
 // shard-parallel fleet path.
 //
-// The run that motivates PR 9's memory work: per-tenant request records
-// live in arena-backed SoA storage, completed tenants fold into the slice
-// accumulator and release their arenas immediately (stream_metrics), and
-// the static streaming path runs in 4096-tenant waves whose shards build
-// their own tenants.  Three contracts are asserted here:
+// Per-tenant request records live in arena-backed SoA storage, completed
+// tenants fold into their shard's accumulator and release their state
+// immediately (stream_metrics), and on this static path each shard runs
+// its tenants one at a time, reset()ing one recycled calendar between
+// them.  Three contracts are asserted here:
 //
 //   * completion — the full tenant count is served (default 100,000;
 //     JANUS_HUGE_TENANTS overrides, which is how ci/verify.sh runs a
@@ -153,7 +153,8 @@ int main() {
   if (!identical) {
     std::fprintf(stderr,
                  "bench_fleet_huge: streamed fleet metrics changed with the "
-                 "shard count — the wave fold is not bit-identical\n");
+                 "shard count — the tenant-major fold is not "
+                 "bit-identical\n");
     return 1;
   }
   if (reference.total_requests !=
@@ -165,9 +166,11 @@ int main() {
   }
   // 8x the tenants must cost far less than 8x the memory: the streaming
   // fold keeps request records O(active tenants), so the full-scale run
-  // adds plan-time state (O(tenants), ~bytes each) but not O(requests)
-  // sample storage.  6x leaves slack for allocator granularity while
-  // still rejecting linear growth.
+  // adds plan-time state (O(tenants), a few hundred bytes each: the
+  // TenantSpec, the control plane's groups and feed) but not O(requests)
+  // sample storage.  With one tenant resident per shard that plan state
+  // sets the ratio (about 5.4 at the default size), so 6x rejects both
+  // linear growth and a fatter per-tenant plan.
   if (rss_ratio > 6.0) {
     std::fprintf(stderr,
                  "bench_fleet_huge: peak RSS grew %.2fx going from %d to %d "

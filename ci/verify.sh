@@ -101,8 +101,9 @@ if [[ -z "$SANITIZE" ]]; then
     # --require and no '|| true'.  fleet_huge runs a reduced-size variant
     # (JANUS_HUGE_TENANTS; the committed baseline is full-scale, so its
     # wall/RSS deltas read as improvements — the gate here is that the
-    # streaming wave path -- 8200 tenants are three 4096-tenant waves --
-    # completes and stays bit-identical across shard counts).
+    # tenant-major streaming path -- 8200 tenants, each shard recycling
+    # one calendar across thousands of them -- completes and stays
+    # bit-identical across shard counts).
     BENCH_SET=(fleet_scale engine autoscale policy_mix obs_overhead chaos
                frontier fleet_huge)
     rm -rf "$BUILD_DIR/bench-report"

@@ -100,10 +100,18 @@ bool Workflow::is_chain() const {
 }
 
 std::size_t Workflow::chain_walk_length() const {
-  auto srcs = sources();
-  if (srcs.size() != 1) return 0;
+  // Find the single source in place: is_chain() runs once per fleet tenant
+  // (policy construction, plan sizing, serve_workload), so it must not
+  // allocate.
+  std::size_t source = nodes_.size();
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    if (!pred_[i].empty()) continue;
+    if (source != nodes_.size()) return 0;  // a second source
+    source = i;
+  }
+  if (source == nodes_.size()) return 0;
   std::size_t count = 0;
-  FunctionId cur = srcs.front();
+  auto cur = static_cast<FunctionId>(source);
   for (;;) {
     ++count;
     const auto& outs = succ_[static_cast<std::size_t>(cur)];

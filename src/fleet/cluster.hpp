@@ -22,6 +22,7 @@
 #pragma once
 
 #include <cstddef>
+#include <deque>
 #include <utility>
 #include <vector>
 
@@ -155,7 +156,9 @@ class ClusterCapacity {
 
   ClusterConfig config_;
   std::vector<Millicores> used_;
-  std::vector<Group> groups_;
+  /// A deque: a fleet adds one group per tenant stage, and vector growth
+  /// would keep up to half its capacity resident at 100k tenants.
+  std::deque<Group> groups_;
   /// Pending scale-out orders: {steps remaining, node count}.
   std::vector<std::pair<int, int>> orders_;
   int overcommitted_ = 0;

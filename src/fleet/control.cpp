@@ -1,15 +1,22 @@
 #include "fleet/control.hpp"
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/log.hpp"
 
 namespace janus {
 
-void EpochFeed::set_stage(std::size_t stage, CoLocationDistribution dist) {
+EpochFeed::EpochFeed(std::size_t stages, bool live) : live_(live) {
+  static const CoLocationDistribution kDefault;
+  per_stage_.assign(stages, &kDefault);
+}
+
+void EpochFeed::set_stage(std::size_t stage,
+                          const CoLocationDistribution& dist) {
   require(stage < per_stage_.size(),
           "epoch feed does not cover this chain stage");
-  per_stage_[stage] = std::move(dist);
+  per_stage_[stage] = &dist;
 }
 
 ControlPlane::ControlPlane(ClusterConfig cluster, ControlConfig config)
@@ -22,24 +29,32 @@ EpochFeed& ControlPlane::plan_tenant(const std::vector<int>& stage_pods,
   require(!stage_pods.empty(), "tenant needs >= 1 chain stage");
   require(stage_pods.size() == stage_mc.size(),
           "plan needs one pod size per chain stage");
-  TenantGroups groups;
-  groups.group_ids.reserve(stage_pods.size());
-  for (std::size_t s = 0; s < stage_pods.size(); ++s) {
-    groups.group_ids.push_back(cluster_.add_group(stage_pods[s], stage_mc[s]));
+  const int first = cluster_.add_group(stage_pods[0], stage_mc[0]);
+  for (std::size_t s = 1; s < stage_pods.size(); ++s) {
+    require(cluster_.add_group(stage_pods[s], stage_mc[s]) ==
+                first + static_cast<int>(s),
+            "a tenant's cluster groups must have consecutive ids");
   }
-  tenants_.push_back(std::move(groups));
+  first_group_.push_back(first);
   feeds_.emplace_back(stage_pods.size(), live());
-  broadcast(tenants_.size() - 1);
+  broadcast(first_group_.size() - 1);
   return feeds_.back();
 }
 
 void ControlPlane::broadcast(std::size_t tenant) {
-  const TenantGroups& groups = tenants_[tenant];
   EpochFeed& feed = feeds_[tenant];
-  for (std::size_t s = 0; s < groups.group_ids.size(); ++s) {
-    feed.set_stage(s, CoLocationDistribution::concentrated(
-                          cluster_.group_coresidency(groups.group_ids[s])));
+  for (std::size_t s = 0; s < feed.stages(); ++s) {
+    feed.set_stage(s, concentrated(cluster_.group_coresidency(
+                          tenant_group(tenant, s))));
   }
+}
+
+const CoLocationDistribution& ControlPlane::concentrated(double mean) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &mean, sizeof bits);
+  auto [it, fresh] = concentrated_.try_emplace(bits);
+  if (fresh) it->second = CoLocationDistribution::concentrated(mean);
+  return it->second;
 }
 
 ClusterCapacity::RemoveOutcome ControlPlane::inject_node_failure(int node) {
@@ -47,7 +62,7 @@ ClusterCapacity::RemoveOutcome ControlPlane::inject_node_failure(int node) {
   // Rebroadcast immediately: the failure just concentrated surviving pods,
   // and the feeds must reflect that even if no reconcile follows (tests
   // drive this standalone; run_fleet reconciles right after anyway).
-  for (std::size_t t = 0; t < tenants_.size(); ++t) broadcast(t);
+  for (std::size_t t = 0; t < tenants(); ++t) broadcast(t);
   return out;
 }
 
@@ -55,7 +70,7 @@ void ControlPlane::reconcile(Seconds sim_time,
                              const std::vector<std::vector<int>>& observed,
                              const EpochChaos& chaos) {
   require(live(), "reconcile needs a finite epoch length");
-  require(observed.size() == tenants_.size(),
+  require(observed.size() == tenants(),
           "reconcile needs one observation row per tenant");
   EpochSnapshot snap;
   snap.epoch = static_cast<int>(history_.size());
@@ -63,14 +78,13 @@ void ControlPlane::reconcile(Seconds sim_time,
   snap.chaos = chaos;
   // Merge in tenant-index order — the fixed fold that keeps the packing a
   // pure function of (epoch, fleet seed, tenant set) at any shard count.
-  for (std::size_t t = 0; t < tenants_.size(); ++t) {
-    const TenantGroups& groups = tenants_[t];
-    require(observed[t].size() == groups.group_ids.size(),
+  for (std::size_t t = 0; t < tenants(); ++t) {
+    require(observed[t].size() == feeds_[t].stages(),
             "reconcile needs one observation per tenant stage");
-    for (std::size_t s = 0; s < groups.group_ids.size(); ++s) {
+    for (std::size_t s = 0; s < observed[t].size(); ++s) {
       // An idle stage still keeps one warm pod; demand never drops to 0.
       const int want = std::max(1, observed[t][s]);
-      const int group = groups.group_ids[s];
+      const int group = tenant_group(t, s);
       if (want != static_cast<int>(cluster_.assignment(group).size())) {
         cluster_.resize_group(group, want);
         ++snap.groups_resized;
@@ -87,7 +101,7 @@ void ControlPlane::reconcile(Seconds sim_time,
   snap.pending_nodes = cluster_.pending_nodes();
   snap.utilization = cluster_.utilization();
   // Broadcast the post-repack co-residency (scale-in may have moved pods).
-  for (std::size_t t = 0; t < tenants_.size(); ++t) broadcast(t);
+  for (std::size_t t = 0; t < tenants(); ++t) broadcast(t);
   log_debug("control: epoch ", snap.epoch, " @", sim_time, "s: ",
             snap.groups_resized, " groups resized, nodes=", snap.nodes, " (+",
             snap.nodes_added, "/-", snap.nodes_removed, ", ",
@@ -97,22 +111,21 @@ void ControlPlane::reconcile(Seconds sim_time,
 }
 
 int ControlPlane::tenant_group(std::size_t tenant, std::size_t stage) const {
-  require(tenant < tenants_.size(), "tenant index out of range");
-  const TenantGroups& groups = tenants_[tenant];
-  require(stage < groups.group_ids.size(), "stage index out of range");
-  return groups.group_ids[stage];
+  require(tenant < tenants(), "tenant index out of range");
+  require(stage < feeds_[tenant].stages(), "stage index out of range");
+  return first_group_[tenant] + static_cast<int>(stage);
 }
 
 double ControlPlane::tenant_coresidency(std::size_t tenant) const {
-  require(tenant < tenants_.size(), "tenant index out of range");
-  const TenantGroups& groups = tenants_[tenant];
+  require(tenant < tenants(), "tenant index out of range");
+  const std::size_t stages = feeds_[tenant].stages();
   double total = 0.0;
-  for (int group : groups.group_ids) {
+  for (std::size_t s = 0; s < stages; ++s) {
     // Reporting matches the plan-time convention: a pod is co-resident at
     // least with itself, so an empty (idle) stage reads as 1.
-    total += std::max(1.0, cluster_.group_coresidency(group));
+    total += std::max(1.0, cluster_.group_coresidency(tenant_group(tenant, s)));
   }
-  return total / static_cast<double>(groups.group_ids.size());
+  return total / static_cast<double>(stages);
 }
 
 }  // namespace janus

@@ -24,8 +24,10 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <limits>
+#include <map>
 #include <vector>
 
 #include "common/types.hpp"
@@ -76,29 +78,40 @@ struct EpochSnapshot {
 /// barrier and read by the tenant's serve_workload stage launches.  Writes
 /// and reads never overlap: shards only run between barriers, and the
 /// ThreadPool's dispatch/join orders the accesses.
+///
+/// A stage points at a distribution rather than holding a copy: every
+/// distribution owns a heap weight vector, and at six-figure tenant counts
+/// almost all stages share a handful of the control plane's interned ones.
 class EpochFeed final : public CoLocationProvider {
  public:
-  EpochFeed(std::size_t stages, bool live) : per_stage_(stages), live_(live) {}
+  /// Every stage starts at the default CoLocationDistribution.
+  EpochFeed(std::size_t stages, bool live);
 
   const CoLocationDistribution& stage_distribution(
       std::size_t stage) const override {
     require(stage < per_stage_.size(),
             "epoch feed does not cover this chain stage");
-    return per_stage_[stage];
+    return *per_stage_[stage];
   }
   std::size_t stages() const noexcept override { return per_stage_.size(); }
   bool live() const noexcept override { return live_; }
 
-  void set_stage(std::size_t stage, CoLocationDistribution dist);
+  /// Points `stage` at `dist`, which must outlive the feed (or the next
+  /// set_stage of that stage).  A temporary would dangle, so none binds.
+  void set_stage(std::size_t stage, const CoLocationDistribution& dist);
+  void set_stage(std::size_t stage, CoLocationDistribution&& dist) = delete;
 
  private:
-  std::vector<CoLocationDistribution> per_stage_;
+  std::vector<const CoLocationDistribution*> per_stage_;
   bool live_ = false;
 };
 
 class ControlPlane {
  public:
   ControlPlane(ClusterConfig cluster, ControlConfig config);
+  // A copy's feeds would point into this plane's interned distributions.
+  ControlPlane(const ControlPlane&) = delete;
+  ControlPlane& operator=(const ControlPlane&) = delete;
 
   bool live() const noexcept { return config_.epoch_s != kNoEpochs; }
   Seconds epoch_s() const noexcept { return config_.epoch_s; }
@@ -129,7 +142,7 @@ class ControlPlane {
   /// before the next reconcile.  Returns what happened to the node's pods.
   ClusterCapacity::RemoveOutcome inject_node_failure(int node);
 
-  std::size_t tenants() const noexcept { return tenants_.size(); }
+  std::size_t tenants() const noexcept { return first_group_.size(); }
   /// Tenant's current mean co-residency across stages (reporting).
   double tenant_coresidency(std::size_t tenant) const;
   /// Cluster group id backing (tenant, stage) — lets the observability
@@ -143,17 +156,20 @@ class ControlPlane {
   }
 
  private:
-  struct TenantGroups {
-    std::vector<int> group_ids;  // one cluster group per chain stage
-  };
-
   /// Pushes the current packing of tenant t into its feed.
   void broadcast(std::size_t tenant);
+  /// CoLocationDistribution::concentrated(mean), built once per distinct
+  /// mean and kept for the plane's lifetime (feeds point into it).
+  const CoLocationDistribution& concentrated(double mean);
 
   ClusterCapacity cluster_;
   ControlConfig config_;
   std::deque<EpochFeed> feeds_;  // deque: stable addresses across growth
-  std::vector<TenantGroups> tenants_;
+  /// Tenant t's stage s is cluster group first_group_[t] + s (plan_tenant
+  /// adds a tenant's groups consecutively); feeds_[t] knows the stages.
+  std::vector<int> first_group_;
+  /// Keyed by the mean's bit pattern; std::map nodes never move.
+  std::map<std::uint64_t, CoLocationDistribution> concentrated_;
   std::vector<EpochSnapshot> history_;
 };
 

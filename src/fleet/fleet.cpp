@@ -38,7 +38,7 @@ struct InternedWorkload {
 
 /// What the plan derives for one tenant (shard-independent): a pointer to
 /// its interned workload and the plan's own outputs.  Everything else a
-/// run needs is built on the shard by tenant_run_config.
+/// run needs is built on the shard by build_tenant.
 struct TenantSetup {
   const InternedWorkload* workload = nullptr;
   Seconds slo = 0.0;
@@ -170,12 +170,48 @@ FleetPlan plan_fleet(const FleetConfig& config) {
   return plan;
 }
 
-/// Tenant t's run config.  The plan stores none: each shard builds it
-/// right before serve_workload, which keeps no pointer into it.
-RunConfig tenant_run_config(const FleetConfig& config, const FleetPlan& plan,
-                            std::size_t t, TraceRing* ring) {
-  const TenantSpec& spec = config.tenants[t];
+/// Shard s's share of tenants [lo, hi): t ≡ s (mod shards), in increasing
+/// t.  The first such t, or >= hi when the shard has none.
+std::size_t shard_first(std::size_t s, std::size_t shards, std::size_t lo) {
+  return lo + (s + shards - lo % shards) % shards;
+}
+
+/// One shard's subtotals.  The fold fields are integer counts or integer-
+/// valued sums, so any grouping of partials merges to the same bits.
+struct FoldPartial {
+  Histogram hist{0.0, 1.0, 1};
+  std::uint64_t requests = 0;
+  std::uint64_t violations = 0;
+  double cpu = 0.0;
+  ObsCounters counters;
+  std::uint64_t events = 0;
+  Seconds sim_end = 0.0;
+  EngineObs engine_obs;
+
+  void add_engine(const SimEngine& engine) {
+    events += engine.executed();
+    sim_end = std::max(sim_end, engine.last_event_s());
+  }
+};
+
+/// One tenant's simulator state from build to fold.  It must not move: the
+/// obs hook and the scheduled closures point into it.
+struct TenantSim {
+  RunResult result;
+  std::unique_ptr<Platform> platform;
+  std::unique_ptr<SizingPolicy> policy;
+  ObsCounters counters;
+};
+
+/// Builds tenant t on `engine`: its Platform, its sizing policy, and its
+/// whole request stream, scheduled by serve_workload.  The plan stores no
+/// RunConfig; it is built here, and serve_workload keeps no pointer into it.
+void build_tenant(const FleetConfig& config, const FleetPlan& plan,
+                  std::size_t t, SimEngine& engine, TraceRing* ring,
+                  TenantSim& sim) {
   const TenantSetup& setup = plan.setups[t];
+  const InternedWorkload& workload = *setup.workload;
+  const TenantSpec& spec = config.tenants[t];
   RunConfig rc;
   rc.slo = setup.slo;
   rc.concurrency = spec.concurrency;
@@ -199,95 +235,96 @@ RunConfig tenant_run_config(const FleetConfig& config, const FleetPlan& plan,
     rc.trace_sample_every = config.obs.sample_every;
     rc.trace_tenant = static_cast<std::uint32_t>(t);
   }
-  return rc;
+  PlatformConfig pc = rc.platform;
+  pc.seed = rc.seed ^ 0x9e3779b97f4a7c15ULL;
+  sim.platform = std::make_unique<Platform>(engine, pc, workload.chain,
+                                            rc.interference);
+  if (config.obs.enabled()) sim.platform->set_obs(&sim.counters);
+  // Every shard calls make_policy at once, and the catalog's maps are
+  // unsynchronized.  That is safe only because plan_fleet's plan_sizes
+  // call already created every entry make_policy reads for this
+  // (policy, workload, slo, conc): here the catalog is only looked up.
+  std::unique_ptr<SizingPolicy> policy =
+      plan.catalog->make_policy(spec.policy, workload.spec, rc.slo,
+                                spec.concurrency, spec.size_mc);
+  if (spec.contention_alpha > 0.0) {
+    policy = std::make_unique<ContentionAwarePolicy>(
+        std::move(policy), *plan.feeds[t], spec.contention_alpha,
+        plan.catalog->config().kmax);
+  }
+  sim.policy = std::move(policy);
+  serve_workload(engine, *sim.platform, workload.spec, *sim.policy, rc,
+                 sim.result);
 }
 
-/// Shard s's share of tenants [lo, hi): t ≡ s (mod shards), in increasing
-/// t.  The first such t, or >= hi when the shard has none.
-std::size_t first_tenant_of_shard(std::size_t s, std::size_t shards,
-                                  std::size_t lo) {
-  return lo + (s + shards - lo % shards) % shards;
+/// Retires a tenant whose events have all fired: platform tallies go into
+/// its counters; platform, policy and serve state are freed (the log stays
+/// for fold_tenant).
+void retire_tenant(TenantSim& sim) {
+  sim.counters.invocations = sim.platform->invocations();
+  sim.counters.cold_starts = sim.platform->cold_starts();
+  sim.result.serve_state.reset();
+  sim.platform.reset();
+  sim.policy.reset();
 }
 
-/// One shard's streaming-fold subtotals.  Every field is an integer count
-/// or an integer-valued sum, so merging the partials in any grouping gives
-/// the same bits as a serial fold.
-struct FoldPartial {
-  Histogram hist{0.0, 1.0, 1};
-  std::uint64_t requests = 0;
-  std::uint64_t violations = 0;
+/// Folds retired tenant t's records and counters into `part` (and, when
+/// dense, its TenantFold), frees its log, and returns its SLO violations.
+std::uint64_t fold_tenant(const FleetConfig& config,
+                          const ControlPlane& control, std::size_t t,
+                          TenantSim& sim, FoldPartial& part,
+                          TenantFold* fold) {
+  const RequestLog& log = sim.result.requests;
+  std::uint64_t viol = 0;
   double cpu = 0.0;
-  ObsCounters counters;
-};
+  for (const auto& req : log) {
+    viol += req.violated ? 1 : 0;
+    cpu += req.cpu_mc;
+    if (fold == nullptr) part.hist.add(req.e2e);
+  }
+  if (fold != nullptr) {
+    fold->requests = log.size();
+    fold->violations = viol;
+    fold->cpu_sum = cpu;
+    fold->coresidency = control.tenant_coresidency(t);
+    fold->e2e = sim.result.e2e_distribution();
+    fold->e2e_hist = Histogram(0.0, config.hist_max_s, config.hist_bins);
+    for (double x : fold->e2e.sorted_samples()) fold->e2e_hist.add(x);
+    part.hist.merge(fold->e2e_hist);
+  }
+  part.requests += log.size();
+  part.violations += viol;
+  part.cpu += cpu;
+  part.counters.merge(sim.counters);
+  sim.result.requests.release();
+  return viol;
+}
 
-/// Runs tenants [lo, hi) as one wave and folds them into `out`: setup on
-/// the shards, simulate to each epoch barrier and reconcile, then fold.
-/// Every wave gets fresh engines — an engine's clock never rewinds
-/// (schedule_at clamps t < now), so a later wave cannot reuse them.
-void run_wave(const FleetConfig& config, FleetPlan& plan, ThreadPool& pool,
+/// The live path: every tenant stays on its shard's calendar, because each
+/// barrier reconciles all tenants' observed demand (and chaos may preempt
+/// any of them).  Streamed tenants retire at the first barrier after they
+/// finish, the rest after the last.
+void run_live(const FleetConfig& config, FleetPlan& plan, ThreadPool& pool,
               std::size_t lo, std::size_t hi, PhaseProfiler& prof,
-              FleetSliceOutcome& out) {
+              std::vector<TraceRing>& rings, std::vector<TenantSim>& sims,
+              std::vector<FoldPartial>& partials, FleetSliceOutcome& out) {
   const std::size_t n = hi - lo;
+  const std::size_t shards = partials.size();
   ControlPlane& control = *plan.control;
   ChaosEngine* chaos_eng = plan.chaos_eng.get();
-  const bool stream = config.stream_metrics;
-  const auto shards = static_cast<std::size_t>(config.shards);
-
-  // Observability sinks.  Sized up front so the addresses handed to the
-  // hot-path hooks stay stable; each shard writes only its own tenants'
-  // sinks (and its own engine gauge), so recording needs no locks.  When
-  // obs is off no sink is armed and every hook stays a null-test branch.
-  std::vector<TraceRing> rings;
-  std::vector<ObsCounters> counters(n);
-  std::vector<EngineObs> engine_obs(shards);
-  if (config.obs.trace) {
-    rings.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      rings.emplace_back(config.obs.ring_capacity);
-    }
-  }
-  // Platforms and policies sit in unique_ptrs so the streaming fold can
-  // release a completed tenant's simulator state, not just its metrics.
-  std::vector<std::unique_ptr<SimEngine>> engines(shards);
-  std::vector<RunResult> results(n);
-  std::vector<std::unique_ptr<Platform>> platforms(n);
-  std::vector<std::unique_ptr<SizingPolicy>> policies(n);
 
   // Shard s builds the tenants t ≡ s (mod shards) in increasing t, so its
   // engine receives the same schedule calls, in the same order, as a
   // serial build of the whole range would give it.
+  std::vector<std::unique_ptr<SimEngine>> engines(shards);
   prof.begin("setup");
   pool.parallel_for(shards, [&](std::size_t s) {
     engines[s] = std::make_unique<SimEngine>();
-    SimEngine& engine = *engines[s];
-    if (config.obs.enabled()) engine.set_obs(&engine_obs[s]);
-    for (std::size_t t = first_tenant_of_shard(s, shards, lo); t < hi;
-         t += shards) {
+    if (config.obs.enabled()) engines[s]->set_obs(&partials[s].engine_obs);
+    for (std::size_t t = shard_first(s, shards, lo); t < hi; t += shards) {
       const std::size_t i = t - lo;
-      const InternedWorkload& workload = *plan.setups[t].workload;
-      const TenantSpec& spec = config.tenants[t];
-      const RunConfig rc = tenant_run_config(
-          config, plan, t, config.obs.trace ? &rings[i] : nullptr);
-      PlatformConfig pc = rc.platform;
-      pc.seed = rc.seed ^ 0x9e3779b97f4a7c15ULL;
-      platforms[i] = std::make_unique<Platform>(engine, pc, workload.chain,
-                                                rc.interference);
-      if (config.obs.enabled()) platforms[i]->set_obs(&counters[i]);
-      // Every shard calls make_policy at once, and the catalog's maps are
-      // unsynchronized.  That is safe only because plan_fleet's plan_sizes
-      // call already created every entry make_policy reads for this
-      // (policy, workload, slo, conc): here the catalog is only looked up.
-      std::unique_ptr<SizingPolicy> policy =
-          plan.catalog->make_policy(spec.policy, workload.spec, rc.slo,
-                                    spec.concurrency, spec.size_mc);
-      if (spec.contention_alpha > 0.0) {
-        policy = std::make_unique<ContentionAwarePolicy>(
-            std::move(policy), *plan.feeds[t], spec.contention_alpha,
-            plan.catalog->config().kmax);
-      }
-      policies[i] = std::move(policy);
-      serve_workload(engine, *platforms[i], workload.spec, *policies[i], rc,
-                     results[i]);
+      build_tenant(config, plan, t, *engines[s],
+                   rings.empty() ? nullptr : &rings[i], sims[i]);
     }
   });
 
@@ -296,60 +333,27 @@ void run_wave(const FleetConfig& config, FleetPlan& plan, ThreadPool& pool,
   // per barrier, not a rescan.
   std::vector<std::size_t> slo_cursor(n, 0);
   std::vector<std::uint64_t> slo_violations(n, 0);
-  std::vector<char> folded(n, 0);
-
-  // Streaming fold, on the shard threads: shard s scans the column of each
-  // unfolded tenant it built — all of them, or only those whose stream is
-  // complete — into its own partial, then releases the tenant's entire
-  // simulator footprint (request log arena, serve state, platform, policy)
-  // on the thread that allocated it.  The aggregates are exact under any
-  // fold order and grouping (integer counts, integer-valued cpu sums), so
-  // neither folding at completion time nor the shard split can show
-  // through.  `folded` is a vector<char>, not vector<bool>: shards write
-  // distinct elements of it concurrently.
-  std::vector<FoldPartial> partials(stream ? shards : 0);
-  for (FoldPartial& part : partials) {
-    part.hist = Histogram(0.0, config.hist_max_s, config.hist_bins);
-  }
-  const auto stream_fold = [&](bool finished_only) {
+  const auto retire_shards = [&](bool finished_only) {
     pool.parallel_for(shards, [&](std::size_t s) {
-      FoldPartial& part = partials[s];
-      for (std::size_t t = first_tenant_of_shard(s, shards, lo); t < hi;
-           t += shards) {
+      for (std::size_t t = shard_first(s, shards, lo); t < hi; t += shards) {
         const std::size_t i = t - lo;
-        const RequestLog& log = results[i].requests;
-        const auto total =
-            static_cast<std::size_t>(config.tenants[t].requests);
-        if (folded[i] != 0 || (finished_only && log.size() != total)) {
+        const std::size_t done = sims[i].result.requests.size();
+        if (!sims[i].platform ||
+            (finished_only &&
+             done != static_cast<std::size_t>(config.tenants[t].requests))) {
           continue;
         }
-        std::uint64_t viol = 0;
-        for (const auto& req : log) {
-          viol += req.violated ? 1 : 0;
-          part.cpu += req.cpu_mc;
-          part.hist.add(req.e2e);
-        }
-        part.requests += log.size();
-        part.violations += viol;
-        slo_cursor[i] = log.size();
-        slo_violations[i] = viol;
-        ObsCounters tc = counters[i];
-        tc.invocations = platforms[i]->invocations();
-        tc.cold_starts = platforms[i]->cold_starts();
-        part.counters.merge(tc);
-        results[i].requests.release();
-        results[i].serve_state.reset();
-        platforms[i].reset();
-        policies[i].reset();
-        folded[i] = 1;
+        retire_tenant(sims[i]);
+        slo_cursor[i] = done;
+        slo_violations[i] =
+            fold_tenant(config, control, t, sims[i], partials[s],
+                        out.stream ? nullptr : &out.tenants[i]);
       }
     });
   };
 
-  Seconds epoch_end = control.live() ? control.epoch_s() : kNoEpochs;
-  for (;;) {
-    // Advance every shard to the barrier (run_until(inf) = run to drain —
-    // the static path does exactly one pass).
+  for (Seconds epoch_end = control.epoch_s();;
+       epoch_end += control.epoch_s()) {
     prof.begin("simulate");
     pool.parallel_for(shards, [&](std::size_t s) {
       engines[s]->run_until(epoch_end);
@@ -358,21 +362,21 @@ void run_wave(const FleetConfig& config, FleetPlan& plan, ThreadPool& pool,
     for (const auto& engine : engines) {
       pending = pending || engine->pending() > 0;
     }
-    if (!pending || !control.live()) break;
+    if (!pending) break;
     prof.begin("reconcile");
     // Publish the per-(tenant, stage) pod demand the Platforms actually
-    // observed this epoch.  A tenant folded away by the streaming path
+    // observed this epoch.  A tenant the streaming path already retired
     // publishes zeros — exactly what its idle platform would have
     // reported.
     std::vector<std::vector<int>> observed(n);
     for (std::size_t i = 0; i < n; ++i) {
       const std::size_t stages = plan.feeds[lo + i]->stages();
       observed[i].assign(stages, 0);
-      if (platforms[i]) {
+      if (Platform* platform = sims[i].platform.get()) {
         for (std::size_t s = 0; s < stages; ++s) {
-          observed[i][s] = platforms[i]->peak_busy_for(static_cast<int>(s));
+          observed[i][s] = platform->peak_busy_for(static_cast<int>(s));
         }
-        platforms[i]->reset_peak_busy();
+        platform->reset_peak_busy();
       }
     }
     // Chaos injection happens here — all shards paused, observations
@@ -393,15 +397,15 @@ void run_wave(const FleetConfig& config, FleetPlan& plan, ThreadPool& pool,
                                   rm.stranded);
       }
       for (std::size_t t : barrier.preempt_tenants) {
+        Platform& platform = *sims[t - lo].platform;
         int killed = 0;
         const std::size_t stages = plan.feeds[t]->stages();
         for (std::size_t s = 0; s < stages; ++s) {
-          const int busy =
-              platforms[t - lo]->busy_pods_for(static_cast<int>(s));
+          const int busy = platform.busy_pods_for(static_cast<int>(s));
           const int want = static_cast<int>(
               std::ceil(config.chaos.preempt_fraction *
                         static_cast<double>(busy)));
-          killed += platforms[t - lo]->preempt_busy(static_cast<int>(s), want);
+          killed += platform.preempt_busy(static_cast<int>(s), want);
         }
         if (killed > 0) {
           chaos_eng->record_preemption(epoch_idx, epoch_end,
@@ -413,9 +417,9 @@ void run_wave(const FleetConfig& config, FleetPlan& plan, ThreadPool& pool,
       if (config.chaos.cold_storms) {
         // x1.0 when calm — IEEE-exact, so arming storms without a storm
         // this epoch perturbs nothing.
-        for (auto& platform : platforms) {
-          if (platform) platform->set_startup_multiplier(
-              barrier.storm_multiplier);
+        // Chaos runs never stream, so every platform is still alive.
+        for (TenantSim& sim : sims) {
+          sim.platform->set_startup_multiplier(barrier.storm_multiplier);
         }
         if (barrier.storm_started) {
           chaos_eng->record_storm(
@@ -434,10 +438,9 @@ void run_wave(const FleetConfig& config, FleetPlan& plan, ThreadPool& pool,
       const ClusterCapacity& cl = control.cluster();
       for (std::size_t i = 0; i < n; ++i) {
         const std::size_t t = lo + i;
-        for (; slo_cursor[i] < results[i].requests.size(); ++slo_cursor[i]) {
-          if (results[i].requests[slo_cursor[i]].violated) {
-            ++slo_violations[i];
-          }
+        const RequestLog& log = sims[i].result.requests;
+        for (; slo_cursor[i] < log.size(); ++slo_cursor[i]) {
+          if (log[slo_cursor[i]].violated) ++slo_violations[i];
         }
         for (std::size_t s = 0; s < observed[i].size(); ++s) {
           const int group = control.tenant_group(t, s);
@@ -466,85 +469,31 @@ void run_wave(const FleetConfig& config, FleetPlan& plan, ThreadPool& pool,
         }
       }
     }
-    if (stream) {
-      // Fold (and free) every tenant that finished its stream this
-      // epoch — after the timeline read, which still wanted the log.
-      stream_fold(/*finished_only=*/true);
-    }
-    epoch_end += control.epoch_s();
+    // Retire every streamed tenant that finished this epoch — after the
+    // timeline read, which still wanted its log.
+    if (out.stream) retire_shards(/*finished_only=*/true);
   }
 
-  // ---- Fold the remainder in tenant order (fixed fold => reproducible
-  // bits; in streaming mode only tenants finishing in the last partial
-  // epoch are left).
   prof.begin("merge");
-  if (stream) {
-    stream_fold(/*finished_only=*/false);
-    for (const FoldPartial& part : partials) {
-      out.slice_hist.merge(part.hist);
-      out.requests_total += part.requests;
-      out.violations_total += part.violations;
-      out.cpu_total += part.cpu;
-      out.counters.merge(part.counters);
-    }
-  } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      const RunResult& r = results[i];
-      TenantFold fold;
-      fold.requests = r.requests.size();
-      std::uint64_t viol = 0;
-      double cpu = 0.0;
-      for (const auto& req : r.requests) {
-        viol += req.violated ? 1 : 0;
-        cpu += req.cpu_mc;
-      }
-      fold.violations = viol;
-      fold.cpu_sum = cpu;
-      fold.coresidency = control.tenant_coresidency(lo + i);
-      fold.e2e = r.e2e_distribution();
-      fold.e2e_hist = Histogram(0.0, config.hist_max_s, config.hist_bins);
-      for (double x : fold.e2e.sorted_samples()) fold.e2e_hist.add(x);
-      out.slice_hist.merge(fold.e2e_hist);
-      out.requests_total += fold.requests;
-      out.violations_total += viol;
-      out.cpu_total += cpu;
-      // Tenant-order counter fold: platform tallies + hook tallies + ring
-      // bookkeeping, merged exactly like the metric distributions.
-      ObsCounters tc = counters[i];
-      tc.invocations = platforms[i]->invocations();
-      tc.cold_starts = platforms[i]->cold_starts();
-      if (config.obs.trace) {
-        tc.spans_recorded = rings[i].recorded();
-        tc.spans_dropped = rings[i].dropped();
-        rings[i].drain_to(out.spans);
-      }
-      out.counters.merge(tc);
-      out.tenants.push_back(std::move(fold));
-    }
-  }
   if (chaos_eng != nullptr) {
-    // Tenant-order fold, like every other merged tally.  Chaos runs are
-    // one wave over the whole fleet (validated up front).
-    for (std::size_t i = 0; i < n; ++i) {
-      chaos_eng->add_requeued(platforms[i]->requeued());
+    // Chaos runs never stream, so every platform is still alive here.
+    for (const TenantSim& sim : sims) {
+      chaos_eng->add_requeued(sim.platform->requeued());
     }
   }
-  for (std::size_t s = 0; s < shards; ++s) {
-    out.events_executed += engines[s]->executed();
-    out.peak_pending = std::max(out.peak_pending, engine_obs[s].peak_pending);
-    // Makespan: per-tenant event times are grouping-independent, so the
-    // max over engines and waves is the same number at any layout.
-    out.sim_end_s = std::max(out.sim_end_s, engines[s]->last_event_s());
-  }
+  retire_shards(/*finished_only=*/false);
+  for (std::size_t s = 0; s < shards; ++s) partials[s].add_engine(*engines[s]);
 }
 
 /// Executes tenants [lo, hi) against the (already planned) control plane
-/// and folds their metrics into a slice outcome.  This is the one
-/// execution path: run_fleet runs it over the whole fleet, CLI slice
-/// workers over their range.
+/// and folds their metrics into a slice outcome: run_fleet runs it over
+/// the whole fleet, CLI slice workers over their range.  Two loops share
+/// build_tenant, retire_tenant and fold_tenant: run_live for epoch runs,
+/// and the tenant-major static loop below.
 FleetSliceOutcome execute_slice(const FleetConfig& config, FleetPlan& plan,
                                 std::size_t lo, std::size_t hi,
                                 PhaseProfiler& prof) {
+  const std::size_t n = hi - lo;
   const ControlPlane& control = *plan.control;
   FleetSliceOutcome out;
   out.lo = lo;
@@ -552,19 +501,76 @@ FleetSliceOutcome execute_slice(const FleetConfig& config, FleetPlan& plan,
   out.stream = config.stream_metrics;
   out.fleet_seed = config.seed;
   out.slice_hist = Histogram(0.0, config.hist_max_s, config.hist_bins);
-  if (!out.stream) out.tenants.reserve(hi - lo);
+  // Dense folds land at their tenant's index, whichever shard ran it.
+  if (!out.stream) out.tenants.resize(n);
 
-  // Without live barriers nothing triggers the streaming fold mid-run, so
-  // one pass over a six-figure slice would hold every tenant's platform
-  // and log at once.  Tenant results do not depend on engine grouping, so
-  // the static streaming path runs in waves of kStreamWaveTenants; every
-  // other path is one wave spanning the slice.
-  const std::size_t wave = out.stream && !control.live()
-                               ? kStreamWaveTenants
-                               : hi - lo;
-  ThreadPool pool(static_cast<std::size_t>(config.shards));
-  for (std::size_t wlo = lo; wlo < hi; wlo += wave) {
-    run_wave(config, plan, pool, wlo, std::min(hi, wlo + wave), prof, out);
+  // Span rings, one per tenant, sized up front so the addresses handed to
+  // the hot-path hooks stay stable.  Each shard writes only its own
+  // tenants' rings (and its own partial), so recording needs no locks.
+  std::vector<TraceRing> rings;
+  if (config.obs.trace) rings.assign(n, TraceRing(config.obs.ring_capacity));
+  const auto shards = static_cast<std::size_t>(config.shards);
+  std::vector<FoldPartial> partials(shards);
+  for (FoldPartial& part : partials) part.hist = out.slice_hist;
+  // Live runs keep every tenant alive; static ones only the dense tenants,
+  // whose logs wait for their shard's final fold.
+  std::vector<TenantSim> sims(control.live() || !out.stream ? n : 0);
+  ThreadPool pool(shards);
+  if (control.live()) {
+    run_live(config, plan, pool, lo, hi, prof, rings, sims, partials, out);
+  } else {
+    // The static path, tenant-major: each shard builds one tenant, drains
+    // the calendar, retires the tenant and reset()s the calendar, so one
+    // tenant's Platform, serve slab and log stay cache-hot while its
+    // events fire.  Tenants share no mutable state (randomness, Platform
+    // and co-location feed are their own; a schedule_at clamp compares
+    // against the firing event's own time), so no result can depend on
+    // which tenants shared the calendar before.
+    prof.begin("simulate");
+    pool.parallel_for(shards, [&](std::size_t s) {
+      SimEngine engine;
+      if (config.obs.enabled()) engine.set_obs(&partials[s].engine_obs);
+      for (std::size_t t = shard_first(s, shards, lo); t < hi; t += shards) {
+        TenantSim streamed;
+        TenantSim& sim = out.stream ? streamed : sims[t - lo];
+        build_tenant(config, plan, t, engine,
+                     rings.empty() ? nullptr : &rings[t - lo], sim);
+        engine.run();
+        retire_tenant(sim);
+        if (out.stream) {
+          fold_tenant(config, control, t, sim, partials[s], nullptr);
+        }
+        partials[s].add_engine(engine);
+        engine.reset();
+      }
+      // Dense tenants fold after the shard's last run: freeing a multi-MiB
+      // log mid-loop raises glibc's mmap threshold, and the next tenants'
+      // MiB-sized vectors then fragment the heap (fixed-deep: +4.6 MiB).
+      if (out.stream) return;
+      for (std::size_t t = shard_first(s, shards, lo); t < hi; t += shards) {
+        fold_tenant(config, control, t, sims[t - lo], partials[s],
+                    &out.tenants[t - lo]);
+      }
+    });
+  }
+
+  prof.begin("merge");
+  for (const FoldPartial& part : partials) {
+    out.slice_hist.merge(part.hist);
+    out.requests_total += part.requests;
+    out.violations_total += part.violations;
+    out.cpu_total += part.cpu;
+    out.counters.merge(part.counters);
+    out.events_executed += part.events;
+    out.peak_pending = std::max(out.peak_pending, part.engine_obs.peak_pending);
+    // Makespan: per-tenant event times are grouping-independent, so the
+    // max over shards is the same number at any layout.
+    out.sim_end_s = std::max(out.sim_end_s, part.sim_end);
+  }
+  for (const TraceRing& ring : rings) {
+    out.counters.spans_recorded += ring.recorded();
+    out.counters.spans_dropped += ring.dropped();
+    ring.drain_to(out.spans);
   }
   if (plan.chaos_eng) {
     // The cluster's counter is authoritative: it also covers stranding

@@ -5,6 +5,9 @@
 // deterministic SimEngine from the shared ThreadPool, and every tenant's
 // randomness derives from the fleet seed and its tenant index alone — so
 // fleet results are bit-identical regardless of the shard count.
+// On the static path (epoch_s = kNoEpochs) a shard runs its tenants one at
+// a time on one calendar, reset() between tenants; live runs keep all of a
+// shard's tenants on its calendar, because every barrier needs them alive.
 //
 // Each tenant sizes its stages with a pluggable policy (fleet/policies):
 // the default "fixed" allocation, or any of the paper's §V systems —
@@ -47,12 +50,6 @@
 
 namespace janus {
 
-/// Static streaming waves: on the barrier-free streaming path a slice runs
-/// in waves of at most this many tenants, each built, simulated, folded,
-/// and released before the next begins, so peak RSS tracks the wave, not
-/// the fleet.  Wave boundaries never show through in a merged metric.
-inline constexpr std::size_t kStreamWaveTenants = 4096;
-
 struct TenantSpec {
   std::string name;
   std::string workload = "ia";  // "ia" | "va"
@@ -80,10 +77,11 @@ struct TenantSpec {
 struct FleetConfig {
   std::vector<TenantSpec> tenants;
   int shards = 1;
-  /// Streaming merge: once a tenant completes (checked at each barrier and
-  /// at the end of its wave), its shard folds its metrics into a per-shard
-  /// accumulator and releases its request log, platform, and policy —
-  /// memory stays O(active tenants) instead of O(total requests).  The
+  /// Streaming merge: once a tenant completes (on the static path, as soon
+  /// as its calendar drains; on the live path, at the next barrier), its
+  /// shard folds its metrics into a per-shard accumulator and releases its
+  /// request log, platform, and policy — memory stays O(active tenants)
+  /// instead of O(total requests).  The
   /// cost is per-tenant reporting: no TenantResult rows, fleet_e2e stays
   /// empty, and fleet p50/p99 come from the merged histogram
   /// (Histogram::percentile) rather than exact order statistics.
@@ -161,10 +159,15 @@ struct FleetObs {
   /// shard-independent).
   std::uint64_t events_executed = 0;
   // ---- Machine-dependent (reporting only, never compared bit-for-bit).
-  /// Wall-clock breakdown of run_fleet: plan / setup (the shards' tenant
-  /// construction) / simulate / [reconcile] / merge, in first-entry order.
+  /// Wall-clock breakdown of run_fleet, in first-entry order.  Static
+  /// runs: plan / simulate (tenant construction included) / merge.  Live
+  /// runs: plan / setup (the shards' tenant construction) / simulate /
+  /// reconcile / merge.
   std::vector<PhaseProfiler::Phase> phases;
-  /// Max calendar occupancy across shard engines (0 when obs is off).
+  /// Max calendar occupancy across shard engines (0 when obs is off).  On
+  /// the static path this is the deepest single-tenant calendar, while
+  /// events_executed and sim_end_s still cover every tenant: the three do
+  /// not describe one calendar's event density there.
   std::uint64_t peak_pending = 0;
 };
 

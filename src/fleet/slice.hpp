@@ -62,14 +62,15 @@ struct FleetSliceOutcome {
   /// Simulated time of the slice's last executed event — the makespan the
   /// frontier's achieved-rps accounting divides by.  Each tenant's event
   /// times are independent of engine grouping, so the fleet-wide max is
-  /// bit-identical at any shard or wave layout (unlike peak_pending).
+  /// bit-identical at any shard or slice layout (unlike peak_pending).
   Seconds sim_end_s = 0.0;
 
   ObsCounters counters;
   std::vector<SpanRecord> spans;        // slice tenants, tenant order
   std::vector<TimelineRow> timeline;    // slice tenants, (epoch, t, s) order
   std::uint64_t events_executed = 0;
-  std::uint64_t peak_pending = 0;       // machine/layout-dependent
+  /// Layout-dependent; static path: the deepest single-tenant calendar.
+  std::uint64_t peak_pending = 0;
 
   // Control-plane summary — identical across slices of one run.
   int epochs = 0;

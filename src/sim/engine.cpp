@@ -109,6 +109,23 @@ JANUS_HOT bool SimEngine::prepare_next() {
   }
 }
 
+void SimEngine::reset() {
+  require(size_ == 0, "SimEngine::reset needs a drained calendar");
+  // Empty buckets may sit anywhere behind stale cursors; clearing the
+  // cursors makes the next schedule_at start a fresh ladder via far_.
+  current_end_ = -kInf;
+  next_rung_ = 0;
+  active_rungs_ = 0;
+  ladder_start_ = 0.0;
+  ladder_end_ = -kInf;
+  inv_width_ = 0.0;
+  width_ = 0.0;
+  now_ = 0.0;
+  last_event_ = 0.0;
+  next_seq_ = 0;
+  executed_ = 0;
+}
+
 JANUS_HOT void SimEngine::run() {
   while (step()) {
   }

@@ -166,6 +166,15 @@ class SimEngine {
   std::size_t pending() const noexcept { return size_; }
   std::uint64_t executed() const noexcept { return executed_; }
 
+  /// Rewinds a drained calendar to t = 0 so a new, independent simulation
+  /// can reuse it: now(), last_event_s(), the insertion sequence,
+  /// executed() and the ladder cursors restart from a fresh engine's
+  /// values, while the slot pool and bucket capacities are kept.  A reset
+  /// engine therefore orders any schedule exactly like a fresh one, and
+  /// once capacities settle, repeating a workload allocates nothing.
+  /// Throws if events are still pending.
+  void reset();
+
   /// Arms the calendar-occupancy gauge (self-profiling pillar); null (the
   /// default) keeps the hook a single never-taken branch in schedule_at.
   /// The sink must outlive the engine's run and is written only from the

@@ -343,8 +343,9 @@ TEST(ObsProfile, FleetRunReportsPhases) {
             static_cast<std::uint64_t>(live.epochs) + 1);
   EXPECT_TRUE(covers_wall(live));
 
-  // The static and streamed paths report the same phases minus the
-  // barrier-only reconcile.
+  // The static path builds each tenant right before simulating it, so
+  // tenant construction is part of simulate; there is no barrier, hence
+  // no separate setup phase and no reconcile.
   FleetConfig fixed = obs_fleet(2, &catalog);
   fixed.epoch_s = kNoEpochs;
   fixed.autoscale.enabled = false;
@@ -352,10 +353,10 @@ TEST(ObsProfile, FleetRunReportsPhases) {
   for (const bool stream : {false, true}) {
     fixed.stream_metrics = stream;
     const FleetResult r = run_fleet(fixed);
-    EXPECT_EQ(names_of(r), (std::vector<std::string>{"plan", "setup",
-                                                      "simulate", "merge"}))
+    EXPECT_EQ(names_of(r),
+              (std::vector<std::string>{"plan", "simulate", "merge"}))
         << (stream ? "streamed" : "static");
-    EXPECT_EQ(r.obs.phases[2].entries, 1u);
+    EXPECT_EQ(r.obs.phases[1].entries, 1u);
     EXPECT_TRUE(covers_wall(r));
   }
 }
