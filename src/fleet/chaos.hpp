@@ -122,7 +122,7 @@ struct ChaosStats {
   int storms = 0;
   int flash_windows = 0;
   /// Invocations that lost their pod mid-flight and re-paid startup +
-  /// execution (summed over tenants in tenant order).
+  /// execution (summed over tenants as they retire).
   std::uint64_t requeued_invocations = 0;
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -54,13 +55,6 @@ std::string fmt_double(double v) {
   return os.str();
 }
 
-/// The tenant's effective SLO — the one rule (explicit or the workload
-/// default) shared by the plan phase and the slice merge, so a merge
-/// process that never planned still labels rows identically.
-Seconds tenant_slo(const TenantSpec& spec, const WorkloadSpec& workload) {
-  return spec.slo > 0.0 ? spec.slo : workload.slo(spec.concurrency);
-}
-
 void validate_fleet(const FleetConfig& config) {
   require(!config.tenants.empty(), "fleet needs >= 1 tenant");
   require(config.shards >= 1, "fleet needs >= 1 shard");
@@ -72,14 +66,11 @@ void validate_fleet(const FleetConfig& config) {
             "chaos barrier families (failures, preemption, storms) need a "
             "finite epoch_s");
   }
-  if (config.stream_metrics) {
-    require(!config.obs.trace,
-            "the streaming merge releases per-tenant state; span tracing "
-            "needs it retained");
-    require(!config.chaos.enabled(),
-            "the streaming merge requires chaos off: preemption needs every "
-            "tenant's platform alive at the barrier");
-  }
+  // Span rings are per tenant, O(tenants) state: exactly what the
+  // streaming merge exists to avoid.
+  require(!(config.stream_metrics && config.obs.trace),
+          "the streaming merge keeps O(active tenants) state; span tracing "
+          "keeps a ring per tenant");
 }
 
 /// The shard-independent plan: catalog artifacts, interned workloads,
@@ -138,7 +129,8 @@ FleetPlan plan_fleet(const FleetConfig& config) {
     }
     TenantSetup& setup = plan.setups.emplace_back();
     setup.workload = &workload;
-    setup.slo = tenant_slo(spec, workload.spec);
+    setup.slo = spec.slo > 0.0 ? spec.slo
+                               : workload.spec.slo(spec.concurrency);
     if (config.chaos.flash_crowds) {
       // Flash crowds rewrite the arrival spec at plan time (the window
       // must live inside the arrival process).  The pod plan below
@@ -184,6 +176,7 @@ struct FoldPartial {
   std::uint64_t violations = 0;
   double cpu = 0.0;
   ObsCounters counters;
+  std::uint64_t requeued = 0;  // chaos-preempted invocations, retried
   std::uint64_t events = 0;
   Seconds sim_end = 0.0;
   EngineObs engine_obs;
@@ -258,39 +251,47 @@ void build_tenant(const FleetConfig& config, const FleetPlan& plan,
 }
 
 /// Retires a tenant whose events have all fired: platform tallies go into
-/// its counters; platform, policy and serve state are freed (the log stays
-/// for fold_tenant).
-void retire_tenant(TenantSim& sim) {
+/// its counters and the shard's requeue count; platform, policy and serve
+/// state are freed (the log stays for fold_tenant).
+void retire_tenant(TenantSim& sim, FoldPartial& part) {
   sim.counters.invocations = sim.platform->invocations();
   sim.counters.cold_starts = sim.platform->cold_starts();
+  part.requeued += sim.platform->requeued();
   sim.result.serve_state.reset();
   sim.platform.reset();
   sim.policy.reset();
 }
 
-/// Folds retired tenant t's records and counters into `part` (and, when
-/// dense, its TenantFold), frees its log, and returns its SLO violations.
-std::uint64_t fold_tenant(const FleetConfig& config,
-                          const ControlPlane& control, std::size_t t,
-                          TenantSim& sim, FoldPartial& part,
-                          TenantFold* fold) {
+/// The one fold: retired tenant t becomes its share of the shard's `part`
+/// and, when `row` is non-null (dense runs), its TenantResult — everything
+/// but co-residency, which reports the final packing and is filled after
+/// the run.  Frees its log and returns its SLO violations.
+std::uint64_t fold_tenant(const FleetConfig& config, const FleetPlan& plan,
+                          std::size_t t, TenantSim& sim, FoldPartial& part,
+                          TenantResult* row) {
   const RequestLog& log = sim.result.requests;
   std::uint64_t viol = 0;
   double cpu = 0.0;
   for (const auto& req : log) {
     viol += req.violated ? 1 : 0;
     cpu += req.cpu_mc;
-    if (fold == nullptr) part.hist.add(req.e2e);
+    part.hist.add(req.e2e);
   }
-  if (fold != nullptr) {
-    fold->requests = log.size();
-    fold->violations = viol;
-    fold->cpu_sum = cpu;
-    fold->coresidency = control.tenant_coresidency(t);
-    fold->e2e = sim.result.e2e_distribution();
-    fold->e2e_hist = Histogram(0.0, config.hist_max_s, config.hist_bins);
-    for (double x : fold->e2e.sorted_samples()) fold->e2e_hist.add(x);
-    part.hist.merge(fold->e2e_hist);
+  if (row != nullptr) {
+    const TenantSpec& spec = config.tenants[t];
+    const double requests = static_cast<double>(log.size());
+    row->name = spec.name.empty() ? spec.workload + "-" + std::to_string(t)
+                                  : spec.name;
+    row->workload = spec.workload;
+    row->policy = spec.policy;
+    row->arrivals = spec.arrivals.kind;
+    row->requests = static_cast<int>(log.size());
+    row->slo = plan.setups[t].slo;
+    row->violation_rate = static_cast<double>(viol) / requests;
+    row->mean_cpu_mc = cpu / requests;
+    row->e2e = sim.result.e2e_distribution();
+    row->e2e_p50 = row->e2e.percentile(50.0);
+    row->e2e_p99 = row->e2e.percentile(99.0);
   }
   part.requests += log.size();
   part.violations += viol;
@@ -300,18 +301,19 @@ std::uint64_t fold_tenant(const FleetConfig& config,
   return viol;
 }
 
-/// The live path: every tenant stays on its shard's calendar, because each
-/// barrier reconciles all tenants' observed demand (and chaos may preempt
-/// any of them).  Streamed tenants retire at the first barrier after they
-/// finish, the rest after the last.
+/// The live path: every unfinished tenant stays on its shard's calendar,
+/// because each barrier reconciles all tenants' observed demand (and chaos
+/// may preempt any of them).  A tenant retires and folds at the first
+/// barrier after its last request completes; the rest after the last.
 void run_live(const FleetConfig& config, FleetPlan& plan, ThreadPool& pool,
               std::size_t lo, std::size_t hi, PhaseProfiler& prof,
-              std::vector<TraceRing>& rings, std::vector<TenantSim>& sims,
+              std::vector<TraceRing>& rings,
               std::vector<FoldPartial>& partials, FleetSliceOutcome& out) {
   const std::size_t n = hi - lo;
   const std::size_t shards = partials.size();
   ControlPlane& control = *plan.control;
   ChaosEngine* chaos_eng = plan.chaos_eng.get();
+  std::vector<TenantSim> sims(n);
 
   // Shard s builds the tenants t ≡ s (mod shards) in increasing t, so its
   // engine receives the same schedule calls, in the same order, as a
@@ -343,10 +345,10 @@ void run_live(const FleetConfig& config, FleetPlan& plan, ThreadPool& pool,
              done != static_cast<std::size_t>(config.tenants[t].requests))) {
           continue;
         }
-        retire_tenant(sims[i]);
+        retire_tenant(sims[i], partials[s]);
         slo_cursor[i] = done;
         slo_violations[i] =
-            fold_tenant(config, control, t, sims[i], partials[s],
+            fold_tenant(config, plan, t, sims[i], partials[s],
                         out.stream ? nullptr : &out.tenants[i]);
       }
     });
@@ -365,9 +367,8 @@ void run_live(const FleetConfig& config, FleetPlan& plan, ThreadPool& pool,
     if (!pending) break;
     prof.begin("reconcile");
     // Publish the per-(tenant, stage) pod demand the Platforms actually
-    // observed this epoch.  A tenant the streaming path already retired
-    // publishes zeros — exactly what its idle platform would have
-    // reported.
+    // observed this epoch.  An already retired tenant publishes zeros —
+    // exactly what its idle platform would have reported.
     std::vector<std::vector<int>> observed(n);
     for (std::size_t i = 0; i < n; ++i) {
       const std::size_t stages = plan.feeds[lo + i]->stages();
@@ -397,6 +398,8 @@ void run_live(const FleetConfig& config, FleetPlan& plan, ThreadPool& pool,
                                   rm.stranded);
       }
       for (std::size_t t : barrier.preempt_tenants) {
+        // A retired tenant has no busy pods: nothing to kill or record.
+        if (!sims[t - lo].platform) continue;
         Platform& platform = *sims[t - lo].platform;
         int killed = 0;
         const std::size_t stages = plan.feeds[t]->stages();
@@ -416,10 +419,11 @@ void run_live(const FleetConfig& config, FleetPlan& plan, ThreadPool& pool,
       epoch_chaos.storm_multiplier = barrier.storm_multiplier;
       if (config.chaos.cold_storms) {
         // x1.0 when calm — IEEE-exact, so arming storms without a storm
-        // this epoch perturbs nothing.
-        // Chaos runs never stream, so every platform is still alive.
+        // this epoch perturbs nothing.  Retired tenants start nothing.
         for (TenantSim& sim : sims) {
-          sim.platform->set_startup_multiplier(barrier.storm_multiplier);
+          if (sim.platform) {
+            sim.platform->set_startup_multiplier(barrier.storm_multiplier);
+          }
         }
         if (barrier.storm_started) {
           chaos_eng->record_storm(
@@ -469,18 +473,12 @@ void run_live(const FleetConfig& config, FleetPlan& plan, ThreadPool& pool,
         }
       }
     }
-    // Retire every streamed tenant that finished this epoch — after the
-    // timeline read, which still wanted its log.
-    if (out.stream) retire_shards(/*finished_only=*/true);
+    // Retire every tenant that finished this epoch — after the timeline
+    // read, which still wanted its log.
+    retire_shards(/*finished_only=*/true);
   }
 
   prof.begin("merge");
-  if (chaos_eng != nullptr) {
-    // Chaos runs never stream, so every platform is still alive here.
-    for (const TenantSim& sim : sims) {
-      chaos_eng->add_requeued(sim.platform->requeued());
-    }
-  }
   retire_shards(/*finished_only=*/false);
   for (std::size_t s = 0; s < shards; ++s) partials[s].add_engine(*engines[s]);
 }
@@ -501,27 +499,24 @@ FleetSliceOutcome execute_slice(const FleetConfig& config, FleetPlan& plan,
   out.stream = config.stream_metrics;
   out.fleet_seed = config.seed;
   out.slice_hist = Histogram(0.0, config.hist_max_s, config.hist_bins);
-  // Dense folds land at their tenant's index, whichever shard ran it.
+  // Dense rows land at their tenant's index, whichever shard folds them.
   if (!out.stream) out.tenants.resize(n);
 
   // Span rings, one per tenant, sized up front so the addresses handed to
   // the hot-path hooks stay stable.  Each shard writes only its own
-  // tenants' rings (and its own partial), so recording needs no locks.
+  // tenants' rings, rows and partial, so folding needs no locks.
   std::vector<TraceRing> rings;
   if (config.obs.trace) rings.assign(n, TraceRing(config.obs.ring_capacity));
   const auto shards = static_cast<std::size_t>(config.shards);
   std::vector<FoldPartial> partials(shards);
   for (FoldPartial& part : partials) part.hist = out.slice_hist;
-  // Live runs keep every tenant alive; static ones only the dense tenants,
-  // whose logs wait for their shard's final fold.
-  std::vector<TenantSim> sims(control.live() || !out.stream ? n : 0);
   ThreadPool pool(shards);
   if (control.live()) {
-    run_live(config, plan, pool, lo, hi, prof, rings, sims, partials, out);
+    run_live(config, plan, pool, lo, hi, prof, rings, partials, out);
   } else {
     // The static path, tenant-major: each shard builds one tenant, drains
-    // the calendar, retires the tenant and reset()s the calendar, so one
-    // tenant's Platform, serve slab and log stay cache-hot while its
+    // the calendar, retires and folds the tenant and reset()s the calendar,
+    // so one tenant's Platform, serve slab and log stay cache-hot while its
     // events fire.  Tenants share no mutable state (randomness, Platform
     // and co-location feed are their own; a schedule_at clamp compares
     // against the firing event's own time), so no result can depend on
@@ -531,32 +526,29 @@ FleetSliceOutcome execute_slice(const FleetConfig& config, FleetPlan& plan,
       SimEngine engine;
       if (config.obs.enabled()) engine.set_obs(&partials[s].engine_obs);
       for (std::size_t t = shard_first(s, shards, lo); t < hi; t += shards) {
-        TenantSim streamed;
-        TenantSim& sim = out.stream ? streamed : sims[t - lo];
+        TenantSim sim;
         build_tenant(config, plan, t, engine,
                      rings.empty() ? nullptr : &rings[t - lo], sim);
         engine.run();
-        retire_tenant(sim);
-        if (out.stream) {
-          fold_tenant(config, control, t, sim, partials[s], nullptr);
-        }
+        retire_tenant(sim, partials[s]);
+        fold_tenant(config, plan, t, sim, partials[s],
+                    out.stream ? nullptr : &out.tenants[t - lo]);
         partials[s].add_engine(engine);
         engine.reset();
-      }
-      // Dense tenants fold after the shard's last run: freeing a multi-MiB
-      // log mid-loop raises glibc's mmap threshold, and the next tenants'
-      // MiB-sized vectors then fragment the heap (fixed-deep: +4.6 MiB).
-      if (out.stream) return;
-      for (std::size_t t = shard_first(s, shards, lo); t < hi; t += shards) {
-        fold_tenant(config, control, t, sims[t - lo], partials[s],
-                    &out.tenants[t - lo]);
       }
     });
   }
 
   prof.begin("merge");
+  // Co-residency reports the final packing, known only after the last
+  // barrier.
+  for (std::size_t i = 0; i < out.tenants.size(); ++i) {
+    out.tenants[i].coresidency = control.tenant_coresidency(lo + i);
+  }
+  std::uint64_t requeued = 0;
   for (const FoldPartial& part : partials) {
     out.slice_hist.merge(part.hist);
+    requeued += part.requeued;
     out.requests_total += part.requests;
     out.violations_total += part.violations;
     out.cpu_total += part.cpu;
@@ -573,6 +565,7 @@ FleetSliceOutcome execute_slice(const FleetConfig& config, FleetPlan& plan,
     ring.drain_to(out.spans);
   }
   if (plan.chaos_eng) {
+    plan.chaos_eng->add_requeued(requeued);
     // The cluster's counter is authoritative: it also covers stranding
     // during post-failure regrowth at reconcile, not just eviction time.
     plan.chaos_eng->set_stranded_total(control.cluster().stranded_pods());
@@ -707,46 +700,12 @@ FleetResult merge_fleet_slices(const FleetConfig& config,
   std::size_t total = 0;
   if (!stream) out.tenants.reserve(n);
   for (FleetSliceOutcome& slice : slices) {
-    if (stream) {
-      out.fleet_hist.merge(slice.slice_hist);
-      total += static_cast<std::size_t>(slice.requests_total);
-      violations += static_cast<std::size_t>(slice.violations_total);
-      cpu_total += slice.cpu_total;
-    } else {
-      for (std::size_t j = 0; j < slice.tenants.size(); ++j) {
-        const std::size_t t = slice.lo + j;
-        TenantFold& fold = slice.tenants[j];
-        const TenantSpec& spec = config.tenants[t];
-        TenantResult tr;
-        tr.name = spec.name.empty()
-                      ? spec.workload + "-" + std::to_string(t)
-                      : spec.name;
-        tr.workload = spec.workload;
-        tr.policy = spec.policy;
-        tr.arrivals = spec.arrivals.kind;
-        tr.requests = static_cast<int>(fold.requests);
-        tr.slo = tenant_slo(spec, workload_by_name(spec.workload));
-        tr.violation_rate =
-            fold.requests > 0 ? static_cast<double>(fold.violations) /
-                                    static_cast<double>(fold.requests)
-                              : 0.0;
-        tr.mean_cpu_mc = fold.requests > 0
-                             ? fold.cpu_sum /
-                                   static_cast<double>(fold.requests)
-                             : 0.0;
-        tr.coresidency = fold.coresidency;
-        tr.e2e = std::move(fold.e2e);
-        tr.e2e_p50 = tr.e2e.percentile(50.0);
-        tr.e2e_p99 = tr.e2e.percentile(99.0);
-        tr.e2e_hist = std::move(fold.e2e_hist);
-        out.fleet_e2e.merge(tr.e2e);
-        out.fleet_hist.merge(tr.e2e_hist);
-        cpu_total += fold.cpu_sum;
-        violations += static_cast<std::size_t>(fold.violations);
-        total += static_cast<std::size_t>(fold.requests);
-        out.tenants.push_back(std::move(tr));
-      }
-    }
+    out.fleet_hist.merge(slice.slice_hist);
+    total += static_cast<std::size_t>(slice.requests_total);
+    violations += static_cast<std::size_t>(slice.violations_total);
+    cpu_total += slice.cpu_total;
+    std::move(slice.tenants.begin(), slice.tenants.end(),
+              std::back_inserter(out.tenants));
     out.obs.counters.merge(slice.counters);
     out.obs.spans.insert(out.obs.spans.end(), slice.spans.begin(),
                          slice.spans.end());
@@ -776,6 +735,10 @@ FleetResult merge_fleet_slices(const FleetConfig& config,
     out.fleet_p50 = total > 0 ? out.fleet_hist.percentile(50.0) : 0.0;
     out.fleet_p99 = total > 0 ? out.fleet_hist.percentile(99.0) : 0.0;
   } else {
+    std::vector<const EmpiricalDistribution*> parts;
+    parts.reserve(n);
+    for (const TenantResult& tr : out.tenants) parts.push_back(&tr.e2e);
+    out.fleet_e2e = EmpiricalDistribution::merge_all(parts);
     out.fleet_p50 = out.fleet_e2e.percentile(50.0);
     out.fleet_p99 = out.fleet_e2e.percentile(99.0);
   }

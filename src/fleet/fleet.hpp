@@ -6,8 +6,9 @@
 // randomness derives from the fleet seed and its tenant index alone — so
 // fleet results are bit-identical regardless of the shard count.
 // On the static path (epoch_s = kNoEpochs) a shard runs its tenants one at
-// a time on one calendar, reset() between tenants; live runs keep all of a
-// shard's tenants on its calendar, because every barrier needs them alive.
+// a time on one calendar, reset() between tenants; live runs keep every
+// unfinished tenant of a shard on its calendar, because each barrier
+// reconciles them all.
 //
 // Each tenant sizes its stages with a pluggable policy (fleet/policies):
 // the default "fixed" allocation, or any of the paper's §V systems —
@@ -25,9 +26,12 @@
 // autoscaled) co-residency back through live EpochFeeds, so interference
 // draws shift mid-run.  epoch_s = kNoEpochs freezes the plan packing: the
 // old static pipeline as a one-epoch special case of the same code.
-// Fleet-wide metrics (latency distribution, histogram, SLO violation rate,
-// CPU cost) fold per-tenant results with EmpiricalDistribution::merge and
-// Histogram::merge.
+// Every tenant folds once, on its shard, as soon as it can no longer change
+// (static path: when its calendar drains; live path: at the first barrier
+// after its last request completes) into its TenantResult row and its
+// shard's totals and histogram.  The merge concatenates: totals and
+// histograms add, rows append in tenant order, and the fleet latency
+// distribution is one EmpiricalDistribution::merge_all over the rows.
 #pragma once
 
 #include <cstddef>
@@ -77,16 +81,13 @@ struct TenantSpec {
 struct FleetConfig {
   std::vector<TenantSpec> tenants;
   int shards = 1;
-  /// Streaming merge: once a tenant completes (on the static path, as soon
-  /// as its calendar drains; on the live path, at the next barrier), its
-  /// shard folds its metrics into a per-shard accumulator and releases its
-  /// request log, platform, and policy — memory stays O(active tenants)
-  /// instead of O(total requests).  The
-  /// cost is per-tenant reporting: no TenantResult rows, fleet_e2e stays
-  /// empty, and fleet p50/p99 come from the merged histogram
+  /// Streaming merge: a tenant's fold keeps no per-tenant row, so memory
+  /// stays O(active tenants) instead of O(total requests).  The cost is
+  /// per-tenant reporting: no TenantResult rows, fleet_e2e stays empty,
+  /// and fleet p50/p99 come from the merged histogram
   /// (Histogram::percentile) rather than exact order statistics.
-  /// Requires span tracing and chaos off.  The epoch audit trail, counter
-  /// set, and scalar fleet metrics are bit-identical to the default path.
+  /// Requires span tracing off.  The epoch audit trail, counter set, chaos
+  /// record, and scalar fleet metrics are bit-identical to the default path.
   bool stream_metrics = false;
   std::uint64_t seed = 2026;
   ClusterConfig cluster{};
@@ -121,24 +122,6 @@ struct FleetConfig {
   /// takes zero different branches from a chaos-free build; the barrier
   /// families require a finite epoch_s.
   ChaosConfig chaos{};
-};
-
-struct TenantResult {
-  std::string name;
-  std::string workload;
-  std::string policy;
-  ArrivalKind arrivals = ArrivalKind::Poisson;
-  int requests = 0;
-  Seconds slo = 0.0;
-  double violation_rate = 0.0;
-  double mean_cpu_mc = 0.0;
-  double e2e_p50 = 0.0;
-  double e2e_p99 = 0.0;
-  /// Mean same-function co-residency across the tenant's stages, from the
-  /// cluster packing (>= 1; higher means more interference).
-  double coresidency = 1.0;
-  EmpiricalDistribution e2e;
-  Histogram e2e_hist{0.0, 1.0, 1};
 };
 
 /// The run's observability record.  Split by determinism class:
@@ -235,8 +218,9 @@ FleetSliceOutcome run_fleet_slice(const FleetConfig& config, std::size_t lo,
                                   std::size_t hi);
 
 /// Merges slice outcomes (contiguous, covering every tenant exactly once)
-/// into a FleetResult, folding in tenant-index order — the single merge
-/// path shared by run_fleet itself and `janus_cli fleet --merge-slices`.
+/// into a FleetResult by concatenation in tenant-index order — the single
+/// merge path shared by run_fleet itself and `janus_cli fleet
+/// --merge-slices`.
 /// Bit-identical to an in-process run of the same config.
 FleetResult merge_fleet_slices(const FleetConfig& config,
                                std::vector<FleetSliceOutcome> slices);

@@ -16,15 +16,21 @@ std::vector<std::uint8_t> encode_slice(const FleetSliceOutcome& s) {
   w.f64(s.cpu_total);
   codec::encode(w, s.slice_hist);
   require(s.stream ? s.tenants.empty() : s.tenants.size() == s.hi - s.lo,
-          "slice outcome has the wrong tenant fold count");
+          "slice outcome has the wrong tenant row count");
   w.u64(s.tenants.size());
-  for (const TenantFold& t : s.tenants) {
-    w.u64(t.requests);
-    w.u64(t.violations);
-    w.f64(t.cpu_sum);
+  for (const TenantResult& t : s.tenants) {
+    w.str(t.name);
+    w.str(t.workload);
+    w.str(t.policy);
+    w.u8(static_cast<std::uint8_t>(t.arrivals));
+    w.i32(t.requests);
+    w.f64(t.slo);
+    w.f64(t.violation_rate);
+    w.f64(t.mean_cpu_mc);
+    w.f64(t.e2e_p50);
+    w.f64(t.e2e_p99);
     w.f64(t.coresidency);
     codec::encode(w, t.e2e);
-    codec::encode(w, t.e2e_hist);
   }
   w.f64(s.sim_end_s);
   codec::encode(w, s.counters);
@@ -53,19 +59,27 @@ FleetSliceOutcome decode_slice(const std::uint8_t* data, std::size_t size) {
   s.violations_total = r.u64();
   s.cpu_total = r.f64();
   s.slice_hist = codec::decode_histogram(r);
-  const std::uint64_t folds = r.u64();
-  require(s.stream ? folds == 0 : folds == s.hi - s.lo,
-          "slice blob has the wrong tenant fold count");
-  s.tenants.reserve(static_cast<std::size_t>(folds));
-  for (std::uint64_t i = 0; i < folds; ++i) {
-    TenantFold t;
-    t.requests = r.u64();
-    t.violations = r.u64();
-    t.cpu_sum = r.f64();
+  const std::uint64_t rows = r.u64();
+  require(s.stream ? rows == 0 : rows == s.hi - s.lo,
+          "slice blob has the wrong tenant row count");
+  s.tenants.reserve(static_cast<std::size_t>(rows));
+  for (std::uint64_t i = 0; i < rows; ++i) {
+    TenantResult& t = s.tenants.emplace_back();
+    t.name = r.str();
+    t.workload = r.str();
+    t.policy = r.str();
+    const std::uint8_t kind = r.u8();
+    require(kind <= static_cast<std::uint8_t>(ArrivalKind::Trace),
+            "slice blob has an unknown arrival kind");
+    t.arrivals = static_cast<ArrivalKind>(kind);
+    t.requests = r.i32();
+    t.slo = r.f64();
+    t.violation_rate = r.f64();
+    t.mean_cpu_mc = r.f64();
+    t.e2e_p50 = r.f64();
+    t.e2e_p99 = r.f64();
     t.coresidency = r.f64();
     t.e2e = codec::decode_empirical(r);
-    t.e2e_hist = codec::decode_histogram(r);
-    s.tenants.push_back(std::move(t));
   }
   s.sim_end_s = r.f64();
   s.counters = codec::decode_obs_counters(r);

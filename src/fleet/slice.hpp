@@ -7,17 +7,22 @@
 // assembles them into a FleetResult in tenant-index order, so a merged
 // multi-process result is the in-process result by construction.
 //
-// Outcomes are self-contained: they carry the slice bounds, the streaming
-// flag, the folded metrics, and the control-plane summary (identical in
-// every worker — each plans the same fleet), so a blob written by one
-// process can be decoded and merged by another with nothing but the
-// original FleetConfig.
+// Every tenant folds once, on the shard that ran it, as soon as it can no
+// longer change: into the shard's aggregates (totals and histogram) and,
+// on dense runs, into its TenantResult row.  Outcomes are self-contained:
+// they carry the slice bounds, the streaming flag, those aggregates and
+// rows, and the control-plane summary (identical in every worker — each
+// plans the same fleet), so a blob written by one process can be decoded
+// and merged by another with nothing but the original FleetConfig.  The
+// merge is a concatenation: aggregates add, rows append in tenant order.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <vector>
 
+#include "fleet/arrivals.hpp"
 #include "fleet/control.hpp"
 #include "obs/obs.hpp"
 #include "obs/timeline.hpp"
@@ -27,19 +32,24 @@
 
 namespace janus {
 
-/// One tenant's folded metrics (kept per tenant only when streaming is
-/// off; the streaming path folds straight into the slice aggregates).
-struct TenantFold {
-  std::uint64_t requests = 0;
-  std::uint64_t violations = 0;
-  /// Σ per-request cpu_mc.  Every addend is an integer-valued double
-  /// (stage sizes are integral millicores), so partial sums re-associate
-  /// exactly — per-tenant subtotals folded in any grouping produce the
-  /// same bits as one running sum.
-  double cpu_sum = 0.0;
+/// One tenant's row: labels, rates and its exact latency distribution,
+/// built on the shard that ran the tenant (dense runs only; the streaming
+/// path folds straight into the slice aggregates).
+struct TenantResult {
+  std::string name;
+  std::string workload;
+  std::string policy;
+  ArrivalKind arrivals = ArrivalKind::Poisson;
+  int requests = 0;
+  Seconds slo = 0.0;
+  double violation_rate = 0.0;
+  double mean_cpu_mc = 0.0;
+  double e2e_p50 = 0.0;
+  double e2e_p99 = 0.0;
+  /// Mean same-function co-residency across the tenant's stages, from the
+  /// final cluster packing (>= 1; higher means more interference).
   double coresidency = 1.0;
   EmpiricalDistribution e2e;
-  Histogram e2e_hist{0.0, 1.0, 1};
 };
 
 struct FleetSliceOutcome {
@@ -51,13 +61,15 @@ struct FleetSliceOutcome {
   // Slice aggregates (always filled; exact under re-association).
   std::uint64_t requests_total = 0;
   std::uint64_t violations_total = 0;
+  /// Σ per-request cpu_mc.  Every addend is an integer-valued double
+  /// (stage sizes are integral millicores), so per-shard subtotals merge
+  /// to the same bits as one running sum.
   double cpu_total = 0.0;
-  /// Streaming latency summary: per-request e2e folded into the fleet
-  /// histogram layout as tenants complete (integer counts — the merge is
-  /// exactly commutative/associative, so fold order cannot show through).
+  /// Per-request e2e in the fleet histogram layout (integer counts — the
+  /// merge is exactly commutative/associative, so fold order cannot show).
   Histogram slice_hist{0.0, 1.0, 1};
-  /// Per-tenant folds, hi - lo entries; empty when `stream`.
-  std::vector<TenantFold> tenants;
+  /// Per-tenant rows, hi - lo entries in tenant order; empty when `stream`.
+  std::vector<TenantResult> tenants;
 
   /// Simulated time of the slice's last executed event — the makespan the
   /// frontier's achieved-rps accounting divides by.  Each tenant's event

@@ -37,7 +37,8 @@ namespace janus::codec {
 
 inline constexpr std::uint32_t kMagic = 0x4a4e5343u;  // "JNSC"
 // v2: FleetSliceOutcome gained sim_end_s (frontier achieved-rps makespan).
-inline constexpr std::uint16_t kCodecVersion = 2;
+// v3: TenantResult rows replace TenantFold; no per-tenant histogram.
+inline constexpr std::uint16_t kCodecVersion = 3;
 
 /// Append-only little-endian byte sink.
 class ByteWriter {

@@ -62,20 +62,62 @@ double EmpiricalDistribution::fraction_above(double x) const {
 }
 
 void EmpiricalDistribution::merge(const EmpiricalDistribution& other) {
-  if (other.empty()) return;
-  if (empty()) {
-    *this = other;
-    return;
+  *this = merge_all({this, &other});
+}
+
+EmpiricalDistribution EmpiricalDistribution::merge_all(
+    const std::vector<const EmpiricalDistribution*>& parts) {
+  // One cursor per non-empty part, keyed by its next sample; the heap's top
+  // is the smallest (value, part).
+  struct Head {
+    double value;
+    std::size_t part;
+    std::size_t pos;
+  };
+  const auto later = [](const Head& a, const Head& b) {
+    return a.value > b.value || (a.value == b.value && a.part > b.part);
+  };
+  EmpiricalDistribution out;
+  std::vector<Head> heap;
+  std::size_t total = 0;
+  for (std::size_t p = 0; p < parts.size(); ++p) {
+    const EmpiricalDistribution& part = *parts[p];
+    if (part.empty()) continue;
+    heap.push_back({part.sorted_.front(), p, 0});
+    if (total == 0) {
+      out.mean_ = part.mean_;
+      out.m2_ = part.m2_;
+    } else {
+      const double na = static_cast<double>(total);
+      const double nb = static_cast<double>(part.sorted_.size());
+      const double delta = part.mean_ - out.mean_;
+      out.mean_ += delta * nb / (na + nb);
+      out.m2_ += part.m2_ + delta * delta * na * nb / (na + nb);
+    }
+    total += part.sorted_.size();
   }
-  std::vector<double> merged(sorted_.size() + other.sorted_.size());
-  std::merge(sorted_.begin(), sorted_.end(), other.sorted_.begin(),
-             other.sorted_.end(), merged.begin());
-  const double na = static_cast<double>(sorted_.size());
-  const double nb = static_cast<double>(other.sorted_.size());
-  const double delta = other.mean_ - mean_;
-  mean_ += delta * nb / (na + nb);
-  m2_ += other.m2_ + delta * delta * na * nb / (na + nb);
-  sorted_ = std::move(merged);
+  out.sorted_.reserve(total);
+  std::make_heap(heap.begin(), heap.end(), later);
+  while (heap.size() > 1) {
+    std::pop_heap(heap.begin(), heap.end(), later);
+    Head& head = heap.back();
+    out.sorted_.push_back(head.value);
+    const std::vector<double>& run = parts[head.part]->sorted_;
+    if (++head.pos < run.size()) {
+      head.value = run[head.pos];
+      std::push_heap(heap.begin(), heap.end(), later);
+    } else {
+      heap.pop_back();
+    }
+  }
+  if (!heap.empty()) {  // the last run left: its tail is already in order
+    const Head& head = heap.front();
+    const std::vector<double>& run = parts[head.part]->sorted_;
+    out.sorted_.insert(out.sorted_.end(),
+                       run.begin() + static_cast<std::ptrdiff_t>(head.pos),
+                       run.end());
+  }
+  return out;
 }
 
 std::vector<std::pair<double, double>> EmpiricalDistribution::cdf_series(

@@ -43,6 +43,14 @@ class EmpiricalDistribution {
   /// partials in any grouping.
   void merge(const EmpiricalDistribution& other);
 
+  /// The union of `parts` in one pass: a k-way heap merge of the sorted
+  /// runs into one reserved vector (ties go to the earlier part), and
+  /// Chan's update applied in part order, skipping empty parts.  Bit-equal
+  /// to folding the parts left to right with merge(), in O(N log k)
+  /// instead of O(N k).
+  static EmpiricalDistribution merge_all(
+      const std::vector<const EmpiricalDistribution*>& parts);
+
   /// Rebuilds a distribution from serialized state (codec decode path).
   /// `sorted` must already be sorted ascending; mean/m2 are taken verbatim
   /// so a decode(encode(d)) round-trip is bit-exact, not re-derived.

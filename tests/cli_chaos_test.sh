@@ -9,7 +9,7 @@
 #     flash), before any simulation work;
 #   * a valid chaos run prints the chaos summary line, carries the chaos
 #     section in --json, and reports the SAME injection counts at any
-#     shard count.
+#     shard count and with the streaming merge (--stream).
 #
 # usage: cli_chaos_test.sh /path/to/janus_cli
 set -u
@@ -135,6 +135,18 @@ line4=$("$cli" fleet --tenants 3 --requests 60 --shards 4 --epoch-s 20 \
 [ -n "$line1" ] || fail "shard-1 run printed no chaos line"
 [ "$line1" = "$line4" ] \
   || fail "chaos summary differs across shard counts: '$line1' vs '$line4'"
+
+# ---- the streaming merge reports the same chaos line as the dense run --
+dense=$("$cli" fleet --tenants 3 --requests 60 --epoch-s 20 --chaos all \
+        --chaos-seed 3 2>/dev/null | grep '^chaos:')
+out=$("$cli" fleet --tenants 3 --requests 60 --epoch-s 20 --chaos all \
+      --chaos-seed 3 --stream 2>&1)
+code=$?
+[ "$code" -eq 0 ] || fail "streamed chaos fleet exited $code: $out"
+streamed=$(printf '%s\n' "$out" | grep '^chaos:')
+[ -n "$streamed" ] || fail "streamed chaos run printed no chaos line"
+[ "$streamed" = "$dense" ] \
+  || fail "chaos summary differs when streamed: '$streamed' vs '$dense'"
 
 if [ "$failures" -gt 0 ]; then
   echo "cli_chaos_test: $failures failure(s)" >&2

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -333,14 +334,19 @@ FleetSliceOutcome sample_slice() {
   s.cpu_total = 123456.0;
   s.slice_hist = sample_hist(9, 120);
   for (int t = 0; t < 2; ++t) {
-    TenantFold fold;
-    fold.requests = 250;
-    fold.violations = static_cast<std::uint64_t>(10 + t);
-    fold.cpu_sum = 61728.0;
-    fold.coresidency = 1.5 + 0.25 * t;
-    fold.e2e = sample_dist(static_cast<std::uint64_t>(t), 250);
-    fold.e2e_hist = sample_hist(static_cast<std::uint64_t>(t), 250);
-    s.tenants.push_back(std::move(fold));
+    TenantResult& row = s.tenants.emplace_back();
+    row.name = "va-" + std::to_string(2 + t);
+    row.workload = "va";
+    row.policy = t == 0 ? "janus" : "grandslam+";
+    row.arrivals = t == 0 ? ArrivalKind::Mmpp : ArrivalKind::Trace;
+    row.requests = 250;
+    row.slo = 2.75 + 0.1 * t;
+    row.violation_rate = static_cast<double>(10 + t) / 250.0;
+    row.mean_cpu_mc = 61728.0 / 250.0;
+    row.e2e = sample_dist(static_cast<std::uint64_t>(t), 250);
+    row.e2e_p50 = row.e2e.percentile(50.0);
+    row.e2e_p99 = row.e2e.percentile(99.0);
+    row.coresidency = 1.5 + 0.25 * t;
   }
   s.counters.invocations = 1500;
   s.counters.cold_starts = 40;
@@ -371,15 +377,26 @@ TEST(Codec, SliceBlobRoundTripIsBitExact) {
   EXPECT_TRUE(hist_equal(back.slice_hist, s.slice_hist));
   ASSERT_EQ(back.tenants.size(), s.tenants.size());
   for (std::size_t i = 0; i < s.tenants.size(); ++i) {
-    EXPECT_EQ(back.tenants[i].requests, s.tenants[i].requests);
-    EXPECT_EQ(back.tenants[i].violations, s.tenants[i].violations);
-    EXPECT_TRUE(same_bits(back.tenants[i].cpu_sum, s.tenants[i].cpu_sum));
-    EXPECT_TRUE(
-        same_bits(back.tenants[i].coresidency, s.tenants[i].coresidency));
-    ASSERT_EQ(back.tenants[i].e2e.size(), s.tenants[i].e2e.size());
-    EXPECT_TRUE(same_bits(back.tenants[i].e2e.percentile(99.0),
-                          s.tenants[i].e2e.percentile(99.0)));
-    EXPECT_TRUE(hist_equal(back.tenants[i].e2e_hist, s.tenants[i].e2e_hist));
+    const TenantResult& got = back.tenants[i];
+    const TenantResult& want = s.tenants[i];
+    EXPECT_EQ(got.name, want.name);
+    EXPECT_EQ(got.workload, want.workload);
+    EXPECT_EQ(got.policy, want.policy);
+    EXPECT_EQ(got.arrivals, want.arrivals);
+    EXPECT_EQ(got.requests, want.requests);
+    EXPECT_TRUE(same_bits(got.slo, want.slo));
+    EXPECT_TRUE(same_bits(got.violation_rate, want.violation_rate));
+    EXPECT_TRUE(same_bits(got.mean_cpu_mc, want.mean_cpu_mc));
+    EXPECT_TRUE(same_bits(got.e2e_p50, want.e2e_p50));
+    EXPECT_TRUE(same_bits(got.e2e_p99, want.e2e_p99));
+    EXPECT_TRUE(same_bits(got.coresidency, want.coresidency));
+    ASSERT_EQ(got.e2e.size(), want.e2e.size());
+    for (std::size_t j = 0; j < want.e2e.size(); ++j) {
+      EXPECT_TRUE(same_bits(got.e2e.sorted_samples()[j],
+                            want.e2e.sorted_samples()[j]));
+    }
+    EXPECT_TRUE(same_bits(got.e2e.moment_mean(), want.e2e.moment_mean()));
+    EXPECT_TRUE(same_bits(got.e2e.moment_m2(), want.e2e.moment_m2()));
   }
   EXPECT_EQ(back.counters.invocations, s.counters.invocations);
   EXPECT_EQ(back.events_executed, s.events_executed);

@@ -1013,40 +1013,107 @@ TEST(Fleet, SliceWorkersAndMergeMatchWholeRun) {
 TEST(Fleet, StreamingMergeKeepsScalarMetricsBitIdentical) {
   // The streaming fold drops per-tenant rows and exact order statistics;
   // everything else — totals, rates, histogram, control plane, counters,
-  // timeline — must match the default path bit for bit, at any shard
-  // count.  Three shards do not divide the five tenants evenly, so the
-  // per-shard fold partials differ in size.
-  FleetConfig config = small_fleet(2);
-  config.epoch_s = 5.0;
-  config.autoscale.enabled = true;
-  config.obs.timeline = true;
-  const FleetResult dense = run_fleet(config);
-  for (int shards : {1, 2, 3}) {
-    SCOPED_TRACE(shards);
-    config.shards = shards;
-    config.stream_metrics = true;
-    const FleetResult lean = run_fleet(config);
-    EXPECT_TRUE(lean.streamed);
-    EXPECT_TRUE(lean.tenants.empty());
-    EXPECT_EQ(lean.fleet_e2e.size(), 0u);
-    EXPECT_EQ(lean.total_requests, dense.total_requests);
-    EXPECT_EQ(lean.fleet_violation_rate, dense.fleet_violation_rate);
-    EXPECT_EQ(lean.fleet_mean_cpu_mc, dense.fleet_mean_cpu_mc);
-    EXPECT_EQ(lean.sim_end_s, dense.sim_end_s);
-    ASSERT_EQ(lean.fleet_hist.bins(), dense.fleet_hist.bins());
-    for (std::size_t i = 0; i < dense.fleet_hist.bins(); ++i) {
-      EXPECT_EQ(lean.fleet_hist.bin_count(i), dense.fleet_hist.bin_count(i));
+  // timeline, chaos record — must match the default path bit for bit, at
+  // any shard count.  Three shards do not divide the five tenants evenly,
+  // so the per-shard fold partials differ in size.  Under chaos, tenants
+  // that retired at an earlier barrier may be picked for preemption.
+  for (const bool chaos : {false, true}) {
+    SCOPED_TRACE(chaos ? "chaos all" : "calm");
+    FleetConfig config = small_fleet(2);
+    config.epoch_s = 5.0;
+    config.autoscale.enabled = true;
+    config.obs.timeline = true;
+    if (chaos) {
+      config.chaos = chaos_config_from_spec("all");
+      config.chaos.preempt_per_epoch = 0.5;
     }
-    EXPECT_EQ(lean.obs.counters.invocations, dense.obs.counters.invocations);
-    EXPECT_EQ(lean.obs.counters.cold_starts, dense.obs.counters.cold_starts);
-    EXPECT_EQ(lean.obs.events_executed, dense.obs.events_executed);
-    EXPECT_EQ(lean.epochs, dense.epochs);
-    EXPECT_EQ(lean.final_nodes, dense.final_nodes);
-    ASSERT_EQ(lean.epoch_log.size(), dense.epoch_log.size());
-    ASSERT_EQ(lean.obs.timeline.size(), dense.obs.timeline.size());
-    // Histogram-interpolated percentiles sit inside the right bin.
-    EXPECT_NEAR(lean.fleet_p50, dense.fleet_p50,
-                (config.hist_max_s / static_cast<double>(config.hist_bins)));
+    const FleetResult dense = run_fleet(config);
+    if (chaos) {
+      EXPECT_GT(dense.chaos.preempted_pods, 0);
+      EXPECT_GT(dense.chaos.requeued_invocations, 0u);
+    }
+    for (int shards : {1, 2, 3}) {
+      SCOPED_TRACE(shards);
+      config.shards = shards;
+      config.stream_metrics = true;
+      const FleetResult lean = run_fleet(config);
+      EXPECT_TRUE(lean.streamed);
+      EXPECT_TRUE(lean.tenants.empty());
+      EXPECT_EQ(lean.fleet_e2e.size(), 0u);
+      EXPECT_EQ(lean.total_requests, dense.total_requests);
+      EXPECT_EQ(lean.fleet_violation_rate, dense.fleet_violation_rate);
+      EXPECT_EQ(lean.fleet_mean_cpu_mc, dense.fleet_mean_cpu_mc);
+      EXPECT_EQ(lean.sim_end_s, dense.sim_end_s);
+      ASSERT_EQ(lean.fleet_hist.bins(), dense.fleet_hist.bins());
+      for (std::size_t i = 0; i < dense.fleet_hist.bins(); ++i) {
+        EXPECT_EQ(lean.fleet_hist.bin_count(i), dense.fleet_hist.bin_count(i));
+      }
+      EXPECT_EQ(lean.obs.counters.invocations, dense.obs.counters.invocations);
+      EXPECT_EQ(lean.obs.counters.cold_starts, dense.obs.counters.cold_starts);
+      EXPECT_EQ(lean.obs.events_executed, dense.obs.events_executed);
+      EXPECT_EQ(lean.epochs, dense.epochs);
+      EXPECT_EQ(lean.final_nodes, dense.final_nodes);
+      ASSERT_EQ(lean.epoch_log.size(), dense.epoch_log.size());
+      ASSERT_EQ(lean.obs.timeline.size(), dense.obs.timeline.size());
+      // Histogram-interpolated percentiles sit inside the right bin.
+      EXPECT_NEAR(lean.fleet_p50, dense.fleet_p50,
+                  (config.hist_max_s / static_cast<double>(config.hist_bins)));
+      EXPECT_EQ(lean.chaos_enabled, dense.chaos_enabled);
+      EXPECT_EQ(lean.chaos.node_failures, dense.chaos.node_failures);
+      EXPECT_EQ(lean.chaos.displaced_pods, dense.chaos.displaced_pods);
+      EXPECT_EQ(lean.chaos.stranded_pods, dense.chaos.stranded_pods);
+      EXPECT_EQ(lean.chaos.preemption_bursts, dense.chaos.preemption_bursts);
+      EXPECT_EQ(lean.chaos.preempted_pods, dense.chaos.preempted_pods);
+      EXPECT_EQ(lean.chaos.storms, dense.chaos.storms);
+      EXPECT_EQ(lean.chaos.flash_windows, dense.chaos.flash_windows);
+      EXPECT_EQ(lean.chaos.requeued_invocations,
+                dense.chaos.requeued_invocations);
+      ASSERT_EQ(lean.chaos_log.size(), dense.chaos_log.size());
+      for (std::size_t e = 0; e < dense.chaos_log.size(); ++e) {
+        const ChaosEvent& x = lean.chaos_log[e];
+        const ChaosEvent& y = dense.chaos_log[e];
+        EXPECT_EQ(x.family, y.family);
+        EXPECT_EQ(x.epoch, y.epoch);
+        EXPECT_EQ(x.sim_time, y.sim_time);
+        EXPECT_EQ(x.tenant, y.tenant);
+        EXPECT_EQ(x.node, y.node);
+        EXPECT_EQ(x.pods, y.pods);
+        EXPECT_EQ(x.stranded, y.stranded);
+        EXPECT_EQ(x.magnitude, y.magnitude);
+        EXPECT_EQ(x.until_s, y.until_s);
+      }
+    }
+  }
+}
+
+TEST(Fleet, TenantCoresidencyReportsTheFinalPacking) {
+  // A row's co-residency is the final packing's: Σ over stages (in stage
+  // order) of max(1, the last barrier's group co-residency), / stages.
+  // Tenants fold at the first barrier after they finish, so a value read
+  // at fold time would describe an earlier packing: staggered request
+  // counts make tenants finish several barriers apart while the
+  // autoscaler keeps repacking.
+  FleetConfig config = epoch_fleet(2);
+  for (std::size_t t = 0; t < config.tenants.size(); ++t) {
+    config.tenants[t].requests = 30 + 60 * static_cast<int>(t);
+  }
+  config.obs.timeline = true;
+  const FleetResult r = run_fleet(config);
+  ASSERT_GE(r.epochs, 2);
+  ASSERT_EQ(r.tenants.size(), config.tenants.size());
+  const int last = r.obs.timeline.back().epoch;
+  for (std::size_t t = 0; t < r.tenants.size(); ++t) {
+    SCOPED_TRACE(t);
+    double total = 0.0;
+    std::size_t stages = 0;
+    for (const TimelineRow& row : r.obs.timeline) {
+      if (row.epoch != last || row.tenant != t) continue;
+      total += std::max(1.0, row.coresidency);
+      ++stages;
+    }
+    ASSERT_GT(stages, 0u);
+    EXPECT_EQ(r.tenants[t].coresidency,
+              total / static_cast<double>(stages));
   }
 }
 

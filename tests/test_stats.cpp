@@ -2,7 +2,9 @@
 // parametric samplers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "stats/distributions.hpp"
@@ -191,6 +193,66 @@ TEST(EmpiricalMerge, EmptyIsIdentity) {
   EXPECT_EQ(empty.size(), 3u);
   EXPECT_DOUBLE_EQ(empty.mean(), 2.0);
   EXPECT_DOUBLE_EQ(empty.stddev(), a.stddev());
+}
+
+/// The pairwise merge merge_all must reproduce: std::merge (ties from the
+/// left) and Chan's update, as merge() computed it before merge_all.
+EmpiricalDistribution reference_merge(const EmpiricalDistribution& a,
+                                      const EmpiricalDistribution& b) {
+  if (b.empty()) return a;
+  if (a.empty()) return b;
+  std::vector<double> merged(a.size() + b.size());
+  std::merge(a.sorted_samples().begin(), a.sorted_samples().end(),
+             b.sorted_samples().begin(), b.sorted_samples().end(),
+             merged.begin());
+  const double na = static_cast<double>(a.size());
+  const double nb = static_cast<double>(b.size());
+  const double delta = b.moment_mean() - a.moment_mean();
+  return EmpiricalDistribution::from_sorted(
+      std::move(merged), a.moment_mean() + delta * nb / (na + nb),
+      a.moment_m2() + (b.moment_m2() + delta * delta * na * nb / (na + nb)));
+}
+
+void expect_same_distribution(const EmpiricalDistribution& got,
+                              const EmpiricalDistribution& want) {
+  EXPECT_EQ(got.sorted_samples(), want.sorted_samples());
+  EXPECT_EQ(got.moment_mean(), want.moment_mean());
+  EXPECT_EQ(got.moment_m2(), want.moment_m2());
+}
+
+TEST(EmpiricalMerge, MergeAllEqualsLeftToRightFold) {
+  Rng rng(23);
+  // 1 and 7 parts (not a power of two), with empty parts and values that
+  // repeat across parts (drawn from a coarse grid).
+  for (const std::size_t count : {std::size_t{1}, std::size_t{7}}) {
+    SCOPED_TRACE(count);
+    std::vector<EmpiricalDistribution> parts;
+    for (std::size_t p = 0; p < count; ++p) {
+      const int n = (p % 3 == 1) ? 0 : 50 + static_cast<int>(p) * 37;
+      std::vector<double> xs;
+      for (int i = 0; i < n; ++i) {
+        xs.push_back(i % 2 == 0 ? std::floor(rng.uniform() * 20.0) / 4.0
+                                : rng.lognormal(0.0, 0.7));
+      }
+      parts.push_back(xs.empty() ? EmpiricalDistribution()
+                                 : EmpiricalDistribution(std::move(xs)));
+    }
+    std::vector<const EmpiricalDistribution*> ptrs;
+    EmpiricalDistribution folded;
+    EmpiricalDistribution reference;
+    for (const EmpiricalDistribution& part : parts) {
+      ptrs.push_back(&part);
+      folded.merge(part);
+      reference = reference_merge(reference, part);
+    }
+    const EmpiricalDistribution all = EmpiricalDistribution::merge_all(ptrs);
+    expect_same_distribution(all, folded);
+    expect_same_distribution(all, reference);
+  }
+  // No parts, or only empty ones: the empty distribution.
+  EXPECT_TRUE(EmpiricalDistribution::merge_all({}).empty());
+  const EmpiricalDistribution empty;
+  EXPECT_TRUE(EmpiricalDistribution::merge_all({&empty, &empty}).empty());
 }
 
 // ------------------------------------------------------------ histogram --
