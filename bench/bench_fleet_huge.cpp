@@ -20,6 +20,8 @@
 //
 // Emitted via bench_main as BENCH_fleet_huge.json; events/sec and the RSS
 // figures land in the bench stdout, peak_rss_kb in the artifact envelope.
+// events/sec divides by FleetResult::wall_seconds, the whole run_fleet
+// call: plan, the simulation with the packing it overlaps, and merge.
 #include <sys/resource.h>
 
 #include <cstdio>

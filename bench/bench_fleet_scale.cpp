@@ -11,9 +11,9 @@
 //     reconciliation barrier and node-pool autoscaler running.
 //
 // Emitted via bench_main as BENCH_fleet_scale.json.  Reported wall times
-// cover shard execution only (run_fleet's own clock), so the speedup column
-// isolates the sharding win: more engines in flight plus far smaller
-// per-engine event calendars.  Exits nonzero if any shard count changes
+// are run_fleet's own clock, the whole call, so the speedup column shows
+// the sharding win (more engines in flight plus far smaller per-engine
+// event calendars) net of the serial plan and merge.  Exits nonzero if any shard count changes
 // any fleet metric, if the static path drifts from the PR 3 reference, or
 // if the sweep serves fewer requests than promised.
 #include <algorithm>

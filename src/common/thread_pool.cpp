@@ -64,8 +64,12 @@ void ThreadPool::parallel_for(std::size_t n,
       }
     }));
   }
+  join(futs);
+}
+
+void ThreadPool::join(std::vector<std::future<void>>& futures) {
   std::exception_ptr first_error;
-  for (auto& f : futs) {
+  for (auto& f : futures) {
     try {
       f.get();
     } catch (...) {

@@ -47,6 +47,10 @@ class ThreadPool {
   /// complete.  Exceptions from any iteration propagate (first one wins).
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
+  /// Waits for every future, then rethrows the first one's exception (in
+  /// vector order), if any.
+  static void join(std::vector<std::future<void>>& futures);
+
  private:
   void worker_loop();
 

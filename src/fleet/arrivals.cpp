@@ -67,18 +67,6 @@ ArrivalSpec scale_arrivals(const ArrivalSpec& spec, double factor) {
 
 namespace {
 
-void validate_common(const ArrivalSpec& spec) {
-  // A trace defines its own rate; everything else needs the knob.
-  if (spec.kind != ArrivalKind::Trace) {
-    require(spec.rate > 0.0, "arrival rate must be > 0");
-  }
-  require(spec.flash_k > 0.0, "flash multiplier must be > 0");
-  if (spec.has_flash()) {
-    require(spec.flash_t0_s >= 0.0 && spec.flash_t1_s > spec.flash_t0_s,
-            "flash window must satisfy 0 <= t0 < t1");
-  }
-}
-
 class PoissonArrivals final : public ArrivalProcess {
  public:
   explicit PoissonArrivals(const ArrivalSpec& spec) : rate_(spec.rate) {}
@@ -95,12 +83,7 @@ class PoissonArrivals final : public ArrivalProcess {
 
 class MmppArrivals final : public ArrivalProcess {
  public:
-  explicit MmppArrivals(const ArrivalSpec& spec) : spec_(spec) {
-    require(spec.burst_rate >= spec.rate,
-            "MMPP burst rate must be >= base rate");
-    require(spec.base_dwell_s > 0.0 && spec.burst_dwell_s > 0.0,
-            "MMPP dwell times must be > 0");
-  }
+  explicit MmppArrivals(const ArrivalSpec& spec) : spec_(spec) {}
 
   ArrivalKind kind() const noexcept override { return ArrivalKind::Mmpp; }
 
@@ -134,11 +117,7 @@ class MmppArrivals final : public ArrivalProcess {
 
 class DiurnalArrivals final : public ArrivalProcess {
  public:
-  explicit DiurnalArrivals(const ArrivalSpec& spec) : spec_(spec) {
-    require(spec.period_s > 0.0, "diurnal period must be > 0");
-    require(spec.amplitude >= 0.0 && spec.amplitude <= 1.0,
-            "diurnal amplitude must be in [0, 1]");
-  }
+  explicit DiurnalArrivals(const ArrivalSpec& spec) : spec_(spec) {}
 
   ArrivalKind kind() const noexcept override { return ArrivalKind::Diurnal; }
 
@@ -164,12 +143,7 @@ class DiurnalArrivals final : public ArrivalProcess {
 
 class TraceArrivals final : public ArrivalProcess {
  public:
-  explicit TraceArrivals(const ArrivalSpec& spec) : gaps_(spec.trace_gaps) {
-    require(!gaps_.empty(), "trace replay needs >= 1 inter-arrival gap");
-    for (Seconds gap : gaps_) {
-      require(gap > 0.0, "trace inter-arrival gaps must be > 0");
-    }
-  }
+  explicit TraceArrivals(const ArrivalSpec& spec) : gaps_(spec.trace_gaps) {}
 
   ArrivalKind kind() const noexcept override { return ArrivalKind::Trace; }
 
@@ -235,8 +209,42 @@ class FlashArrivals final : public ArrivalProcess {
 
 }  // namespace
 
+void validate_arrivals(const ArrivalSpec& spec) {
+  // A trace defines its own rate; everything else needs the knob.
+  if (spec.kind != ArrivalKind::Trace) {
+    require(spec.rate > 0.0, "arrival rate must be > 0");
+  }
+  require(spec.flash_k > 0.0, "flash multiplier must be > 0");
+  if (spec.has_flash()) {
+    require(spec.flash_t0_s >= 0.0 && spec.flash_t1_s > spec.flash_t0_s,
+            "flash window must satisfy 0 <= t0 < t1");
+  }
+  switch (spec.kind) {
+    case ArrivalKind::Poisson:
+      break;
+    case ArrivalKind::Mmpp:
+      require(spec.burst_rate >= spec.rate,
+              "MMPP burst rate must be >= base rate");
+      require(spec.base_dwell_s > 0.0 && spec.burst_dwell_s > 0.0,
+              "MMPP dwell times must be > 0");
+      break;
+    case ArrivalKind::Diurnal:
+      require(spec.period_s > 0.0, "diurnal period must be > 0");
+      require(spec.amplitude >= 0.0 && spec.amplitude <= 1.0,
+              "diurnal amplitude must be in [0, 1]");
+      break;
+    case ArrivalKind::Trace:
+      require(!spec.trace_gaps.empty(),
+              "trace replay needs >= 1 inter-arrival gap");
+      for (Seconds gap : spec.trace_gaps) {
+        require(gap > 0.0, "trace inter-arrival gaps must be > 0");
+      }
+      break;
+  }
+}
+
 std::unique_ptr<ArrivalProcess> make_arrivals(const ArrivalSpec& spec) {
-  validate_common(spec);
+  validate_arrivals(spec);
   std::unique_ptr<ArrivalProcess> base;
   switch (spec.kind) {
     case ArrivalKind::Poisson:

@@ -91,7 +91,12 @@ class ArrivalProcess {
   virtual Seconds next(Seconds now, Rng& rng) = 0;
 };
 
-/// Builds the process described by `spec` (validates the spec).
+/// Throws std::invalid_argument unless `spec` describes a valid process:
+/// the one validator, shared by make_arrivals and the fleet plan (which
+/// checks every tenant's spec without building a process).
+void validate_arrivals(const ArrivalSpec& spec);
+
+/// Builds the process described by `spec` (validates it first).
 std::unique_ptr<ArrivalProcess> make_arrivals(const ArrivalSpec& spec);
 
 /// Returns `spec` with its long-run offered rate scaled by `factor` (> 0)

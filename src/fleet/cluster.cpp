@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "common/log.hpp"
 
@@ -34,20 +35,36 @@ double ClusterCapacity::utilization() const {
                   static_cast<double>(used_.size()));
 }
 
+std::vector<int>& ClusterCapacity::count_per_node(
+    const std::vector<int>& nodes) const {
+  if (scratch_.size() < used_.size()) scratch_.resize(used_.size(), 0);
+  for (int n : nodes) ++scratch_[static_cast<std::size_t>(n)];
+  return scratch_;
+}
+
+void ClusterCapacity::clear_per_node(const std::vector<int>& nodes) const {
+  for (int n : nodes) scratch_[static_cast<std::size_t>(n)] = 0;
+}
+
 int ClusterCapacity::pack_pods(Group& group, int count) {
   if (count > 0 && used_.empty()) {
     // No node survives (chaos can fail the last one): the pods are
     // stranded — counted and dropped, never an assert.  The overcommit
-    // fallback below indexes used_[0], so this must be handled first.
+    // fallback below needs a node to fall back on, so this comes first.
     stranded_ += count;
     log_warn("cluster: ", count, " pods stranded (no nodes left)");
     return 0;
   }
   const Millicores pod_mc = group.pod_mc;
   // This group's pods per node, from its current placement.
-  std::vector<int> per_node(used_.size(), 0);
-  for (int n : group.nodes) ++per_node[static_cast<std::size_t>(n)];
-  for (int p = 0; p < count; ++p) {
+  std::vector<int>& per_node = count_per_node(group.nodes);
+  const auto place = [&](std::size_t node) {
+    used_[node] += pod_mc;
+    ++per_node[node];
+    group.nodes.push_back(static_cast<int>(node));
+  };
+  int p = 0;
+  for (; p < count; ++p) {
     int best = -1;
     for (std::size_t n = 0; n < used_.size(); ++n) {
       if (used_[n] + pod_mc > config_.node_capacity_mc) continue;
@@ -61,27 +78,28 @@ int ClusterCapacity::pack_pods(Group& group, int count) {
         best = static_cast<int>(n);
       }
     }
-    if (best < 0) {
-      // Saturated: overcommit the least-used node (ties to the lowest
-      // index, keeping the packing deterministic).
-      best = 0;
-      for (std::size_t n = 1; n < used_.size(); ++n) {
-        if (used_[n] < used_[static_cast<std::size_t>(best)]) {
-          best = static_cast<int>(n);
-        }
-      }
-      ++overcommitted_;
-    }
-    used_[static_cast<std::size_t>(best)] += pod_mc;
-    ++per_node[static_cast<std::size_t>(best)];
-    group.nodes.push_back(best);
+    if (best < 0) break;
+    place(static_cast<std::size_t>(best));
   }
+  // Saturated: no node has room for a pod of this size, and placing only
+  // adds load, so every remaining pod overcommits the least-used node,
+  // ties to the lowest index — the minimum of (used << 32 | index).
+  for (; p < count; ++p) {
+    std::uint64_t least = ~std::uint64_t{0};
+    for (std::size_t n = 0; n < used_.size(); ++n) {
+      const std::uint64_t key =
+          (static_cast<std::uint64_t>(used_[n]) << 32) | std::uint64_t{n};
+      least = std::min(least, key);
+    }
+    place(static_cast<std::size_t>(least & 0xffffffffu));
+    ++overcommitted_;
+  }
+  clear_per_node(group.nodes);
   return count;
 }
 
 void ClusterCapacity::release_pods(Group& group, int count) {
-  std::vector<int> per_node(used_.size(), 0);
-  for (int n : group.nodes) ++per_node[static_cast<std::size_t>(n)];
+  std::vector<int>& per_node = count_per_node(group.nodes);
   for (int p = 0; p < count; ++p) {
     // Release from the node where the group is thinnest (spills unwind
     // before the packed core), ties to the highest index.
@@ -105,6 +123,7 @@ void ClusterCapacity::release_pods(Group& group, int count) {
       }
     }
   }
+  clear_per_node(group.nodes);
 }
 
 int ClusterCapacity::add_group(int count, Millicores pod_mc) {
@@ -112,10 +131,12 @@ int ClusterCapacity::add_group(int count, Millicores pod_mc) {
   // A zero-pod group is legal (an idle stage); only a real placement
   // needs a real pod size.
   require(count == 0 || pod_mc > 0, "pod size must be > 0");
-  Group group;
+  Group& group = groups_.emplace_back();
   group.pod_mc = pod_mc;
-  groups_.push_back(std::move(group));
-  pack_pods(groups_.back(), count);
+  // Exact: packing never places more pods than asked.  resize_group growth
+  // does not reserve, so live groups keep geometric growth.
+  group.nodes.reserve(static_cast<std::size_t>(count));
+  pack_pods(group, count);
   return static_cast<int>(groups_.size()) - 1;
 }
 
@@ -136,7 +157,10 @@ Millicores ClusterCapacity::group_pod_mc(int group) const {
 }
 
 double ClusterCapacity::group_coresidency(int group) const {
-  return mean_coresidency(assignment(group));
+  const std::vector<int>& nodes = assignment(group);
+  const double mean = coresidency(nodes, count_per_node(nodes));
+  clear_per_node(nodes);
+  return mean;
 }
 
 void ClusterCapacity::resize_group(int group, int count) {
@@ -264,17 +288,22 @@ ClusterCapacity::ScaleEvent ClusterCapacity::autoscale_step(
   return event;
 }
 
-double ClusterCapacity::mean_coresidency(const std::vector<int>& assignment) {
+double ClusterCapacity::coresidency(const std::vector<int>& assignment,
+                                    const std::vector<int>& per_node) {
   if (assignment.empty()) return 0.0;
-  int max_node = 0;
-  for (int n : assignment) max_node = n > max_node ? n : max_node;
-  std::vector<int> per_node(static_cast<std::size_t>(max_node) + 1, 0);
-  for (int n : assignment) ++per_node[static_cast<std::size_t>(n)];
   double total = 0.0;
   for (int n : assignment) {
     total += static_cast<double>(per_node[static_cast<std::size_t>(n)]);
   }
   return total / static_cast<double>(assignment.size());
+}
+
+double ClusterCapacity::mean_coresidency(const std::vector<int>& assignment) {
+  int max_node = 0;
+  for (int n : assignment) max_node = n > max_node ? n : max_node;
+  std::vector<int> per_node(static_cast<std::size_t>(max_node) + 1, 0);
+  for (int n : assignment) ++per_node[static_cast<std::size_t>(n)];
+  return coresidency(assignment, per_node);
 }
 
 }  // namespace janus

@@ -153,6 +153,14 @@ class ClusterCapacity {
   /// Scales in one node (emptiest, ties to the highest index); returns how
   /// many pods it displaced (re-packed).
   int remove_one_node();
+  /// The group placement `nodes` counted per node, in the scratch buffer.
+  std::vector<int>& count_per_node(const std::vector<int>& nodes) const;
+  /// Zeroes the scratch entries count_per_node set for `nodes` (which may
+  /// have changed since, as long as the counts were kept in step).
+  void clear_per_node(const std::vector<int>& nodes) const;
+  /// Mean co-residency of `assignment` given its per-node pod counts.
+  static double coresidency(const std::vector<int>& assignment,
+                            const std::vector<int>& per_node);
 
   ClusterConfig config_;
   std::vector<Millicores> used_;
@@ -163,6 +171,11 @@ class ClusterCapacity {
   std::vector<std::pair<int, int>> orders_;
   int overcommitted_ = 0;
   int stranded_ = 0;
+  /// Per-node pod counts of the group being packed, released or measured;
+  /// all zeros between calls, so no call allocates a per-node vector.
+  /// Const queries write it too: a ClusterCapacity serves one thread at a
+  /// time, reads included.
+  mutable std::vector<int> scratch_;
 };
 
 }  // namespace janus

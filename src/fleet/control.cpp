@@ -24,21 +24,30 @@ ControlPlane::ControlPlane(ClusterConfig cluster, ControlConfig config)
   require(config.epoch_s > 0.0, "epoch length must be > 0 (or kNoEpochs)");
 }
 
-EpochFeed& ControlPlane::plan_tenant(const std::vector<int>& stage_pods,
-                                     const std::vector<Millicores>& stage_mc) {
-  require(!stage_pods.empty(), "tenant needs >= 1 chain stage");
-  require(stage_pods.size() == stage_mc.size(),
-          "plan needs one pod size per chain stage");
-  const int first = cluster_.add_group(stage_pods[0], stage_mc[0]);
-  for (std::size_t s = 1; s < stage_pods.size(); ++s) {
-    require(cluster_.add_group(stage_pods[s], stage_mc[s]) ==
+EpochFeed& ControlPlane::plan_tenant(const StagePlan* stages,
+                                     std::size_t count) {
+  require(count > 0, "tenant needs >= 1 chain stage");
+  const int first = cluster_.add_group(stages[0].pods, stages[0].pod_mc);
+  for (std::size_t s = 1; s < count; ++s) {
+    require(cluster_.add_group(stages[s].pods, stages[s].pod_mc) ==
                 first + static_cast<int>(s),
             "a tenant's cluster groups must have consecutive ids");
   }
   first_group_.push_back(first);
-  feeds_.emplace_back(stage_pods.size(), live());
+  feeds_.emplace_back(count, live());
   broadcast(first_group_.size() - 1);
   return feeds_.back();
+}
+
+EpochFeed& ControlPlane::plan_tenant(const std::vector<int>& stage_pods,
+                                     const std::vector<Millicores>& stage_mc) {
+  require(stage_pods.size() == stage_mc.size(),
+          "plan needs one pod size per chain stage");
+  std::vector<StagePlan> stages(stage_pods.size());
+  for (std::size_t s = 0; s < stages.size(); ++s) {
+    stages[s] = StagePlan{stage_mc[s], stage_pods[s]};
+  }
+  return plan_tenant(stages.data(), stages.size());
 }
 
 void ControlPlane::broadcast(std::size_t tenant) {

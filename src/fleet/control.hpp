@@ -74,6 +74,13 @@ struct EpochSnapshot {
   EpochChaos chaos{};
 };
 
+/// One chain stage's plan-time packing input: `pods` pods of `pod_mc`
+/// millicores each.
+struct StagePlan {
+  Millicores pod_mc = 0;
+  int pods = 0;
+};
+
 /// Per-tenant co-location source, updated by the control plane at each
 /// barrier and read by the tenant's serve_workload stage launches.  Writes
 /// and reads never overlap: shards only run between barriers, and the
@@ -122,6 +129,15 @@ class ControlPlane {
   /// policies allocate stages differently) and returns the tenant's feed,
   /// initialized to the plan packing.  The reference stays valid for the
   /// ControlPlane's lifetime.
+  ///
+  /// On the static path the fleet packs tenants on one thread while shards
+  /// already run the packed ones.  That is safe because a call never
+  /// touches what an earlier call returned: feeds_ is a deque (earlier
+  /// feeds never move), and concentrated_ only gains map nodes, which
+  /// never move either, so a shard may read an earlier tenant's feed and
+  /// its distributions while this call runs.
+  EpochFeed& plan_tenant(const StagePlan* stages, std::size_t count);
+  /// The same, from parallel per-stage vectors.
   EpochFeed& plan_tenant(const std::vector<int>& stage_pods,
                          const std::vector<Millicores>& stage_mc);
 

@@ -1,13 +1,16 @@
 #include "fleet/fleet.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
+#include <future>
 #include <iterator>
 #include <map>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -73,9 +76,12 @@ void validate_fleet(const FleetConfig& config) {
           "keeps a ring per tenant");
 }
 
-/// The shard-independent plan: catalog artifacts, interned workloads,
-/// per-tenant setups, and the control plane's plan-time packing.  Built
-/// once on the caller thread; shard threads only read it.
+/// The shard-independent plan, built in two passes on the caller thread.
+/// Pass 1 (plan_fleet) validates and sizes every tenant before any shard
+/// exists; pass 2 (pack_tenants) places the sized tenants on the control
+/// plane.  Shard threads only read the plan, and on the static path they
+/// start while pass 2 still runs: tenant t's setup is final once the
+/// packing watermark passes t (see execute_slice).
 struct FleetPlan {
   std::unique_ptr<PolicyCatalog> own_catalog;
   PolicyCatalog* catalog = nullptr;
@@ -85,9 +91,18 @@ struct FleetPlan {
   /// the TenantSetup pointers into it stay valid.
   std::map<std::string, InternedWorkload> workloads;
   std::vector<TenantSetup> setups;
+  /// Pass 1's packing input, one entry per chain stage, tenants in index
+  /// order; each tenant's chain length comes from its interned workload.
+  /// Freed once pass 2 has placed every tenant.
+  std::vector<StagePlan> stages;
+  /// Tenant t's co-location feed: null until pass 2 places tenant t,
+  /// never changed by the plan afterwards.
   std::vector<EpochFeed*> feeds;
 };
 
+/// Pass 1: every check that can reject a tenant, workload interning, and
+/// the plan-time sizing.  It is the only pass that touches the policy
+/// catalog, so the catalog is read-only once shards run.
 FleetPlan plan_fleet(const FleetConfig& config) {
   const std::size_t n = config.tenants.size();
   FleetPlan plan;
@@ -110,7 +125,7 @@ FleetPlan plan_fleet(const FleetConfig& config) {
         std::make_unique<ChaosEngine>(config.chaos, config.seed, n);
   }
   plan.setups.reserve(n);
-  plan.feeds.reserve(n);
+  plan.feeds.assign(n, nullptr);
   for (std::size_t t = 0; t < n; ++t) {
     const TenantSpec& spec = config.tenants[t];
     require(spec.requests > 0, "tenant needs >= 1 request");
@@ -120,7 +135,7 @@ FleetPlan plan_fleet(const FleetConfig& config) {
     // Validate the arrival spec *now*: the fleet has no closed-loop
     // tenants, and a bad spec must fail here, not as NaN inside the pod
     // estimate or as a throw on a shard thread.
-    (void)make_arrivals(spec.arrivals);
+    validate_arrivals(spec.arrivals);
     auto [it, fresh] = plan.workloads.try_emplace(spec.workload);
     InternedWorkload& workload = it->second;
     if (fresh) {
@@ -138,6 +153,7 @@ FleetPlan plan_fleet(const FleetConfig& config) {
       // the crowd is a transient the capacity plan does not see coming.
       setup.flashed = std::make_unique<const ArrivalSpec>(
           plan.chaos_eng->apply_flash(t, spec.arrivals));
+      validate_arrivals(*setup.flashed);
     }
 
     // Steady-state pods per stage (Little's law over the arrival process's
@@ -149,17 +165,30 @@ FleetPlan plan_fleet(const FleetConfig& config) {
         spec.policy, workload.spec, setup.slo, spec.concurrency,
         spec.size_mc);
     const double rate = spec.arrivals.mean_rate();
-    std::vector<int> stage_pods;
-    stage_pods.reserve(workload.chain.size());
     for (std::size_t s = 0; s < workload.chain.size(); ++s) {
       const Seconds stage_s =
           workload.chain[s].exec_time(plan_mc[s], spec.concurrency, 1.0, 1.0);
-      stage_pods.push_back(
-          std::max(1, static_cast<int>(std::ceil(rate * stage_s))));
+      const int pods = std::max(1, static_cast<int>(std::ceil(rate * stage_s)));
+      plan.stages.push_back(StagePlan{plan_mc[s], pods});
     }
-    plan.feeds.push_back(&plan.control->plan_tenant(stage_pods, plan_mc));
   }
   return plan;
+}
+
+/// Pass 2: places every tenant on the control plane in index order and
+/// calls `publish(t + 1)` once tenant t's feed is stored.  Placement is
+/// serial and in tenant order, so the packing is the same at any shard
+/// count.
+template <typename Publish>
+void pack_tenants(FleetPlan& plan, Publish&& publish) {
+  const StagePlan* next = plan.stages.data();
+  for (std::size_t t = 0; t < plan.setups.size(); ++t) {
+    const std::size_t stages = plan.setups[t].workload->chain.size();
+    plan.feeds[t] = &plan.control->plan_tenant(next, stages);
+    next += stages;
+    publish(t + 1);
+  }
+  std::vector<StagePlan>().swap(plan.stages);
 }
 
 /// Shard s's share of tenants [lo, hi): t ≡ s (mod shards), in increasing
@@ -180,6 +209,9 @@ struct FoldPartial {
   std::uint64_t events = 0;
   Seconds sim_end = 0.0;
   EngineObs engine_obs;
+  /// Wall seconds the shard spent waiting on the packing watermark
+  /// (machine-dependent, reporting only).
+  double plan_wait_s = 0.0;
 
   void add_engine(const SimEngine& engine) {
     events += engine.executed();
@@ -234,8 +266,8 @@ void build_tenant(const FleetConfig& config, const FleetPlan& plan,
                                             rc.interference);
   if (config.obs.enabled()) sim.platform->set_obs(&sim.counters);
   // Every shard calls make_policy at once, and the catalog's maps are
-  // unsynchronized.  That is safe only because plan_fleet's plan_sizes
-  // call already created every entry make_policy reads for this
+  // unsynchronized.  That is safe only because pass 1's plan_sizes call
+  // (plan_fleet) already created every entry make_policy reads for this
   // (policy, workload, slo, conc): here the catalog is only looked up.
   std::unique_ptr<SizingPolicy> policy =
       plan.catalog->make_policy(spec.policy, workload.spec, rc.slo,
@@ -483,14 +515,16 @@ void run_live(const FleetConfig& config, FleetPlan& plan, ThreadPool& pool,
   for (std::size_t s = 0; s < shards; ++s) partials[s].add_engine(*engines[s]);
 }
 
-/// Executes tenants [lo, hi) against the (already planned) control plane
-/// and folds their metrics into a slice outcome: run_fleet runs it over
-/// the whole fleet, CLI slice workers over their range.  Two loops share
-/// build_tenant, retire_tenant and fold_tenant: run_live for epoch runs,
-/// and the tenant-major static loop below.
+/// Executes tenants [lo, hi) and folds their metrics into a slice outcome:
+/// run_fleet runs it over the whole fleet, CLI slice workers over their
+/// range.  It runs the plan's pass 2 (every tenant, even outside the slice:
+/// the control summary is fleet-wide).  Two loops share build_tenant,
+/// retire_tenant and fold_tenant: run_live for epoch runs, and the
+/// tenant-major static loop below.  `plan_wait_s` receives the shards'
+/// summed wait on the packing watermark.
 FleetSliceOutcome execute_slice(const FleetConfig& config, FleetPlan& plan,
                                 std::size_t lo, std::size_t hi,
-                                PhaseProfiler& prof) {
+                                PhaseProfiler& prof, double& plan_wait_s) {
   const std::size_t n = hi - lo;
   const ControlPlane& control = *plan.control;
   FleetSliceOutcome out;
@@ -512,6 +546,9 @@ FleetSliceOutcome execute_slice(const FleetConfig& config, FleetPlan& plan,
   for (FoldPartial& part : partials) part.hist = out.slice_hist;
   ThreadPool pool(shards);
   if (control.live()) {
+    // The first barrier reconciles every tenant, so the live path packs
+    // the whole fleet before any shard starts.
+    pack_tenants(plan, [](std::size_t) {});
     run_live(config, plan, pool, lo, hi, prof, rings, partials, out);
   } else {
     // The static path, tenant-major: each shard builds one tenant, drains
@@ -521,11 +558,38 @@ FleetSliceOutcome execute_slice(const FleetConfig& config, FleetPlan& plan,
     // and co-location feed are their own; a schedule_at clamp compares
     // against the firing event's own time), so no result can depend on
     // which tenants shared the calendar before.
+    //
+    // Pass 2 runs on this thread while the shards run.  `packed` is the
+    // watermark: tenants [0, packed) are placed.  Nothing changes a static
+    // tenant's feed once it is placed, so after an acquire load that
+    // passes t, tenant t's setup is final and its shard may build it.
+    // Shards read only plan.setups and plan.catalog (finished by pass 1),
+    // plan.feeds[t], and the feed and distributions it points at, which
+    // plan_tenant never moves.  They never read the cluster or the plane's
+    // group index; the merge below does, after every shard has joined.
     prof.begin("simulate");
-    pool.parallel_for(shards, [&](std::size_t s) {
+    constexpr std::size_t kPackAborted = ~std::size_t{0};
+    std::atomic<std::size_t> packed{0};
+    // Blocks until tenant t is placed; false when packing failed.
+    const auto wait_packed = [&packed](std::size_t t, FoldPartial& part) {
+      std::size_t mark = packed.load(std::memory_order_acquire);
+      if (mark <= t) {
+        const auto since = std::chrono::steady_clock::now();
+        // C++17 has no atomic wait: yield until the packer catches up.
+        while ((mark = packed.load(std::memory_order_acquire)) <= t) {
+          std::this_thread::yield();
+        }
+        part.plan_wait_s += std::chrono::duration<double>(
+                                std::chrono::steady_clock::now() - since)
+                                .count();
+      }
+      return mark != kPackAborted;
+    };
+    const auto run_shard = [&](std::size_t s) {
       SimEngine engine;
       if (config.obs.enabled()) engine.set_obs(&partials[s].engine_obs);
       for (std::size_t t = shard_first(s, shards, lo); t < hi; t += shards) {
+        if (!wait_packed(t, partials[s])) return;
         TenantSim sim;
         build_tenant(config, plan, t, engine,
                      rings.empty() ? nullptr : &rings[t - lo], sim);
@@ -536,8 +600,26 @@ FleetSliceOutcome execute_slice(const FleetConfig& config, FleetPlan& plan,
         partials[s].add_engine(engine);
         engine.reset();
       }
-    });
+    };
+    std::vector<std::future<void>> runs;
+    runs.reserve(shards);
+    try {
+      for (std::size_t s = 0; s < shards; ++s) {
+        runs.push_back(pool.submit([&run_shard, s] { run_shard(s); }));
+      }
+      pack_tenants(plan, [&packed](std::size_t done) {
+        packed.store(done, std::memory_order_release);
+      });
+    } catch (...) {
+      // Release every waiting shard before unwinding: the pool's
+      // destructor joins its workers.
+      packed.store(kPackAborted, std::memory_order_release);
+      for (std::future<void>& run : runs) run.wait();
+      throw;
+    }
+    ThreadPool::join(runs);
   }
+  for (const FoldPartial& part : partials) plan_wait_s += part.plan_wait_s;
 
   prof.begin("merge");
   // Co-residency reports the final packing, known only after the last
@@ -643,6 +725,7 @@ std::string FleetResult::to_json() const {
      << ", \"spans_retained\": " << obs.spans.size()
      << ", \"timeline_rows\": " << obs.timeline.size()
      << ", \"peak_pending\": " << obs.peak_pending
+     << ", \"plan_wait_seconds\": " << fmt_double(obs.plan_wait_seconds)
      << ", \"phases\": [";
   for (std::size_t p = 0; p < obs.phases.size(); ++p) {
     os << (p > 0 ? ", " : "") << "{\"name\": \""
@@ -746,35 +829,37 @@ FleetResult merge_fleet_slices(const FleetConfig& config,
 }
 
 FleetResult run_fleet(const FleetConfig& config) {
+  // Self-profiling is always on: it is pure cold-path wall-clock
+  // bookkeeping (a handful of steady_clock reads per epoch), reported in
+  // the machine-dependent section alongside wall_seconds.  The phases tile
+  // the whole call, so they sum to wall_seconds.
+  const auto started = std::chrono::steady_clock::now();
+  PhaseProfiler prof;
+  prof.begin("plan");
   validate_fleet(config);
   const std::size_t n = config.tenants.size();
   log_info("fleet: ", n, " tenants on ", config.shards,
            " shards, epoch_s=", config.epoch_s, ", seed=", config.seed,
            config.stream_metrics ? ", streaming merge" : "",
            config.chaos.enabled() ? ", chaos on" : "");
-
-  // Self-profiling is always on: it is pure cold-path wall-clock
-  // bookkeeping (a handful of steady_clock reads per epoch), reported in
-  // the machine-dependent section alongside wall_seconds.
-  PhaseProfiler prof;
-  prof.begin("plan");
   FleetPlan plan = plan_fleet(config);
 
-  const auto started = std::chrono::steady_clock::now();
+  double plan_wait_s = 0.0;
   std::vector<FleetSliceOutcome> slices;
-  slices.push_back(execute_slice(config, plan, 0, n, prof));
-  const auto finished = std::chrono::steady_clock::now();
+  slices.push_back(execute_slice(config, plan, 0, n, prof, plan_wait_s));
 
   prof.begin("merge");
   FleetResult out = merge_fleet_slices(config, std::move(slices));
-  out.wall_seconds =
-      std::chrono::duration<double>(finished - started).count();
   if (plan.chaos_eng) {
     out.chaos_enabled = true;
     out.chaos = plan.chaos_eng->stats();
     out.chaos_log = plan.chaos_eng->log();
   }
+  out.obs.plan_wait_seconds = plan_wait_s;
   prof.end();
+  out.wall_seconds = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - started)
+                         .count();
   out.obs.phases = prof.phases();
   return out;
 }
@@ -791,8 +876,10 @@ FleetSliceOutcome run_fleet_slice(const FleetConfig& config, std::size_t lo,
   require(!config.chaos.enabled(),
           "slice workers require chaos off (chaos tallies are fleet-wide)");
   FleetPlan plan = plan_fleet(config);
-  PhaseProfiler prof;  // slice blobs carry no wall-clock phases
-  return execute_slice(config, plan, lo, hi, prof);
+  // Slice blobs carry no wall-clock figures.
+  PhaseProfiler prof;
+  double plan_wait_s = 0.0;
+  return execute_slice(config, plan, lo, hi, prof, plan_wait_s);
 }
 
 std::vector<TenantSpec> make_tenant_mix(

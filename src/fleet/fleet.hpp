@@ -26,6 +26,14 @@
 // autoscaled) co-residency back through live EpochFeeds, so interference
 // draws shift mid-run.  epoch_s = kNoEpochs freezes the plan packing: the
 // old static pipeline as a one-epoch special case of the same code.
+// The plan runs in two passes on the caller thread.  Pass 1 validates and
+// sizes every tenant (the only pass that may reject a tenant or touch the
+// policy catalog) before any shard starts; pass 2 packs the sized tenants
+// onto the cluster in tenant order.  On the static path pass 2 overlaps
+// the simulation: it publishes a release/acquire watermark after each
+// tenant, and a shard builds tenant t once the watermark passes t (a
+// static tenant's feed is final once it is placed).  The live path packs
+// every tenant before its first barrier.
 // Every tenant folds once, on its shard, as soon as it can no longer change
 // (static path: when its calendar drains; live path: at the first barrier
 // after its last request completes) into its TenantResult row and its
@@ -142,11 +150,17 @@ struct FleetObs {
   /// shard-independent).
   std::uint64_t events_executed = 0;
   // ---- Machine-dependent (reporting only, never compared bit-for-bit).
-  /// Wall-clock breakdown of run_fleet, in first-entry order.  Static
-  /// runs: plan / simulate (tenant construction included) / merge.  Live
-  /// runs: plan / setup (the shards' tenant construction) / simulate /
-  /// reconcile / merge.
+  /// Wall-clock breakdown of run_fleet, in first-entry order; the phases
+  /// tile the call, so they sum to FleetResult::wall_seconds.  Static
+  /// runs: plan (validation and sizing) / simulate (packing, overlapped
+  /// with the shards, and tenant construction included) / merge.  Live
+  /// runs: plan (packing included) / setup (the shards' tenant
+  /// construction) / simulate / reconcile / merge.
   std::vector<PhaseProfiler::Phase> phases;
+  /// Static runs: wall seconds the shards spent waiting for the packing
+  /// to place their next tenant, summed over shards (0 on the live path,
+  /// which packs before any shard starts).
+  double plan_wait_seconds = 0.0;
   /// Max calendar occupancy across shard engines (0 when obs is off).  On
   /// the static path this is the deepest single-tenant calendar, while
   /// events_executed and sim_end_s still cover every tenant: the three do
@@ -190,8 +204,9 @@ struct FleetResult {
   /// Every injected event in injection order (flash windows first — they
   /// are scheduled at plan time — then barrier events by epoch).
   std::vector<ChaosEvent> chaos_log;
-  /// Wall-clock of the shard execution (not part of the deterministic
-  /// metric set — machine-dependent, like obs.phases).
+  /// Wall-clock of the whole run_fleet call, validation through merge
+  /// (not part of the deterministic metric set — machine-dependent, like
+  /// obs.phases).
   double wall_seconds = 0.0;
   /// Observability record (always carries phases + events_executed; spans
   /// and timeline fill in when the matching FleetConfig::obs pillar is on).

@@ -450,6 +450,293 @@ TEST(Cluster, ScaleInRepacksDisplacedGroupsDeterministically) {
   EXPECT_GE(std::get<2>(a), 1);
 }
 
+/// ClusterCapacity's packing before pack_pods and release_pods reused a
+/// scratch buffer and the overcommit scan became a min over keys: the old
+/// pack_pods, release_pods and remove_one_node verbatim, inside just
+/// enough of the pool to replay add_group, resize_group, fail_node and
+/// autoscale_step.  The oracle for Cluster.PackingMatchesReference.
+class ReferenceCluster {
+ public:
+  explicit ReferenceCluster(ClusterConfig config) : config_(config) {
+    used_.assign(static_cast<std::size_t>(config.nodes), 0);
+  }
+
+  int nodes() const { return static_cast<int>(used_.size()); }
+  Millicores used_mc(int node) const {
+    return used_[static_cast<std::size_t>(node)];
+  }
+  int group_count() const { return static_cast<int>(groups_.size()); }
+  const std::vector<int>& assignment(int group) const {
+    return groups_[static_cast<std::size_t>(group)].nodes;
+  }
+  int overcommitted_pods() const { return overcommitted_; }
+  int stranded_pods() const { return stranded_; }
+
+  int add_group(int count, Millicores pod_mc) {
+    Group group;
+    group.pod_mc = pod_mc;
+    groups_.push_back(std::move(group));
+    pack_pods(groups_.back(), count);
+    return static_cast<int>(groups_.size()) - 1;
+  }
+
+  void resize_group(int group, int count) {
+    Group& g = groups_[static_cast<std::size_t>(group)];
+    const int current = static_cast<int>(g.nodes.size());
+    if (count > current) {
+      pack_pods(g, count - current);
+    } else if (count < current) {
+      release_pods(g, current - count);
+    }
+  }
+
+  ClusterCapacity::RemoveOutcome fail_node(int victim) {
+    std::vector<int> displaced(groups_.size(), 0);
+    for (std::size_t g = 0; g < groups_.size(); ++g) {
+      Group& group = groups_[g];
+      for (std::size_t i = group.nodes.size(); i > 0; --i) {
+        if (group.nodes[i - 1] == victim) {
+          group.nodes.erase(group.nodes.begin() +
+                            static_cast<std::ptrdiff_t>(i - 1));
+          used_[static_cast<std::size_t>(victim)] -= group.pod_mc;
+          ++displaced[g];
+        }
+      }
+    }
+    used_.erase(used_.begin() + victim);
+    for (Group& group : groups_) {
+      for (int& n : group.nodes) {
+        if (n > victim) --n;
+      }
+    }
+    ClusterCapacity::RemoveOutcome out;
+    for (std::size_t g = 0; g < groups_.size(); ++g) {
+      if (displaced[g] == 0) continue;
+      const int placed = pack_pods(groups_[g], displaced[g]);
+      out.displaced += placed;
+      out.stranded += displaced[g] - placed;
+    }
+    return out;
+  }
+
+  ClusterCapacity::ScaleEvent autoscale_step(const AutoscaleConfig& cfg) {
+    ClusterCapacity::ScaleEvent event;
+    for (auto& order : orders_) --order.first;
+    for (std::size_t i = 0; i < orders_.size();) {
+      if (orders_[i].first <= 0) {
+        used_.insert(used_.end(), static_cast<std::size_t>(orders_[i].second),
+                     0);
+        event.added += orders_[i].second;
+        orders_.erase(orders_.begin() + static_cast<std::ptrdiff_t>(i));
+      } else {
+        ++i;
+      }
+    }
+    if (!cfg.enabled) return event;
+    const double u = utilization();
+    int pending = 0;
+    for (const auto& order : orders_) pending += order.second;
+    const int total = nodes() + pending;
+    if (u > cfg.scale_out_utilization && total < cfg.max_nodes) {
+      double used_total = 0.0;
+      for (Millicores m : used_) used_total += static_cast<double>(m);
+      const int want = static_cast<int>(std::ceil(
+          used_total / (cfg.scale_out_utilization *
+                        static_cast<double>(config_.node_capacity_mc))));
+      const int deficit =
+          std::min({want - total, cfg.max_step_nodes, cfg.max_nodes - total});
+      if (deficit > 0) {
+        if (cfg.scale_out_latency_epochs <= 0) {
+          used_.insert(used_.end(), static_cast<std::size_t>(deficit), 0);
+          event.added += deficit;
+        } else {
+          orders_.emplace_back(cfg.scale_out_latency_epochs, deficit);
+          event.ordered = deficit;
+        }
+      }
+    } else if (u < cfg.scale_in_utilization) {
+      while (event.removed < cfg.max_step_nodes && nodes() > cfg.min_nodes &&
+             utilization() < cfg.scale_in_utilization) {
+        event.displaced_pods += remove_one_node();
+        ++event.removed;
+      }
+    }
+    return event;
+  }
+
+ private:
+  struct Group {
+    Millicores pod_mc = 0;
+    std::vector<int> nodes;
+  };
+
+  double utilization() const {
+    if (used_.empty()) return 0.0;
+    double total = 0.0;
+    for (Millicores u : used_) total += static_cast<double>(u);
+    return total / (static_cast<double>(config_.node_capacity_mc) *
+                    static_cast<double>(used_.size()));
+  }
+
+  // ---- Verbatim from the pre-scratch ClusterCapacity (logging dropped).
+  int pack_pods(Group& group, int count) {
+    if (count > 0 && used_.empty()) {
+      stranded_ += count;
+      return 0;
+    }
+    const Millicores pod_mc = group.pod_mc;
+    std::vector<int> per_node(used_.size(), 0);
+    for (int n : group.nodes) ++per_node[static_cast<std::size_t>(n)];
+    for (int p = 0; p < count; ++p) {
+      int best = -1;
+      for (std::size_t n = 0; n < used_.size(); ++n) {
+        if (used_[n] + pod_mc > config_.node_capacity_mc) continue;
+        if (best < 0 ||
+            per_node[n] > per_node[static_cast<std::size_t>(best)] ||
+            (per_node[n] == per_node[static_cast<std::size_t>(best)] &&
+             used_[n] < used_[static_cast<std::size_t>(best)])) {
+          best = static_cast<int>(n);
+        }
+      }
+      if (best < 0) {
+        best = 0;
+        for (std::size_t n = 1; n < used_.size(); ++n) {
+          if (used_[n] < used_[static_cast<std::size_t>(best)]) {
+            best = static_cast<int>(n);
+          }
+        }
+        ++overcommitted_;
+      }
+      used_[static_cast<std::size_t>(best)] += pod_mc;
+      ++per_node[static_cast<std::size_t>(best)];
+      group.nodes.push_back(best);
+    }
+    return count;
+  }
+
+  void release_pods(Group& group, int count) {
+    std::vector<int> per_node(used_.size(), 0);
+    for (int n : group.nodes) ++per_node[static_cast<std::size_t>(n)];
+    for (int p = 0; p < count; ++p) {
+      int victim = -1;
+      for (std::size_t n = 0; n < used_.size(); ++n) {
+        if (per_node[n] == 0) continue;
+        if (victim < 0 ||
+            per_node[n] <= per_node[static_cast<std::size_t>(victim)]) {
+          victim = static_cast<int>(n);
+        }
+      }
+      require(victim >= 0, "release_pods: group has no pods left");
+      used_[static_cast<std::size_t>(victim)] -= group.pod_mc;
+      --per_node[static_cast<std::size_t>(victim)];
+      for (std::size_t i = group.nodes.size(); i > 0; --i) {
+        if (group.nodes[i - 1] == victim) {
+          group.nodes.erase(group.nodes.begin() +
+                            static_cast<std::ptrdiff_t>(i - 1));
+          break;
+        }
+      }
+    }
+  }
+
+  int remove_one_node() {
+    int victim = 0;
+    for (std::size_t n = 1; n < used_.size(); ++n) {
+      if (used_[n] <= used_[static_cast<std::size_t>(victim)]) {
+        victim = static_cast<int>(n);
+      }
+    }
+    const ClusterCapacity::RemoveOutcome out = fail_node(victim);
+    return out.displaced + out.stranded;
+  }
+  // ---- End of the verbatim copy.
+
+  ClusterConfig config_;
+  std::vector<Millicores> used_;
+  std::vector<Group> groups_;
+  std::vector<std::pair<int, int>> orders_;
+  int overcommitted_ = 0;
+  int stranded_ = 0;
+};
+
+/// Asserts that `cluster` and the reference agree on every placement and
+/// tally, and that the co-residency read matches the reference placement.
+void expect_same_packing(const ClusterCapacity& cluster,
+                         const ReferenceCluster& ref, const std::string& at) {
+  ASSERT_EQ(cluster.nodes(), ref.nodes()) << at;
+  for (int n = 0; n < ref.nodes(); ++n) {
+    ASSERT_EQ(cluster.used_mc(n), ref.used_mc(n)) << at << ", node " << n;
+  }
+  ASSERT_EQ(cluster.group_count(), ref.group_count()) << at;
+  for (int g = 0; g < ref.group_count(); ++g) {
+    ASSERT_EQ(cluster.assignment(g), ref.assignment(g)) << at << ", group "
+                                                        << g;
+    ASSERT_EQ(cluster.group_coresidency(g),
+              ClusterCapacity::mean_coresidency(ref.assignment(g)))
+        << at << ", group " << g;
+  }
+  ASSERT_EQ(cluster.overcommitted_pods(), ref.overcommitted_pods()) << at;
+  ASSERT_EQ(cluster.stranded_pods(), ref.stranded_pods()) << at;
+}
+
+TEST(Cluster, PackingMatchesReference) {
+  // Small nodes and mixed pod sizes: sequences cross from roomy packing
+  // into saturation (overcommit), shrink groups, fail nodes down to an
+  // empty pool (stranding) and autoscale back out.
+  constexpr Millicores kPodSizes[] = {500, 1800, 4000, 9000};
+  int overcommitted = 0;
+  int stranded = 0;
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    Rng rng(seed);
+    const ClusterConfig config{static_cast<int>(rng.uniform_int(1, 6)),
+                               20000};
+    ClusterCapacity cluster(config);
+    ReferenceCluster ref(config);
+    AutoscaleConfig scale;
+    scale.enabled = true;
+    scale.max_nodes = 12;
+    scale.max_step_nodes = 3;
+    scale.scale_out_latency_epochs = static_cast<int>(rng.uniform_int(0, 2));
+    for (int op = 0; op < 300; ++op) {
+      const std::string at =
+          "seed " + std::to_string(seed) + ", op " + std::to_string(op);
+      const std::int64_t kind = rng.uniform_int(0, 9);
+      if (kind <= 3 || ref.group_count() == 0) {
+        const int count = static_cast<int>(rng.uniform_int(0, 14));
+        const Millicores pod_mc = kPodSizes[rng.uniform_int(0, 3)];
+        ASSERT_EQ(cluster.add_group(count, pod_mc),
+                  ref.add_group(count, pod_mc))
+            << at;
+      } else if (kind <= 7) {
+        const int group =
+            static_cast<int>(rng.uniform_int(0, ref.group_count() - 1));
+        const int count = static_cast<int>(rng.uniform_int(0, 20));
+        cluster.resize_group(group, count);
+        ref.resize_group(group, count);
+      } else if (kind == 8 && ref.nodes() > 0) {
+        const int node = static_cast<int>(rng.uniform_int(0, ref.nodes() - 1));
+        const ClusterCapacity::RemoveOutcome got = cluster.fail_node(node);
+        const ClusterCapacity::RemoveOutcome want = ref.fail_node(node);
+        ASSERT_EQ(got.displaced, want.displaced) << at;
+        ASSERT_EQ(got.stranded, want.stranded) << at;
+      } else {
+        const ClusterCapacity::ScaleEvent got = cluster.autoscale_step(scale);
+        const ClusterCapacity::ScaleEvent want = ref.autoscale_step(scale);
+        ASSERT_EQ(got.ordered, want.ordered) << at;
+        ASSERT_EQ(got.added, want.added) << at;
+        ASSERT_EQ(got.removed, want.removed) << at;
+        ASSERT_EQ(got.displaced_pods, want.displaced_pods) << at;
+      }
+      ASSERT_NO_FATAL_FAILURE(expect_same_packing(cluster, ref, at));
+    }
+    overcommitted += cluster.overcommitted_pods();
+    stranded += cluster.stranded_pods();
+  }
+  // The sequences reached both fallbacks, not just roomy packing.
+  EXPECT_GT(overcommitted, 0);
+  EXPECT_GT(stranded, 0);
+}
+
 // ---------------------------------------------------------------- fleet --
 FleetConfig small_fleet(int shards) {
   FleetConfig config;
@@ -1115,6 +1402,107 @@ TEST(Fleet, TenantCoresidencyReportsTheFinalPacking) {
     EXPECT_EQ(r.tenants[t].coresidency,
               total / static_cast<double>(stages));
   }
+}
+
+TEST(Fleet, LateInvalidTenantRejectedBeforeShardsRun) {
+  // The plan validates every tenant before any shard starts, so a bad
+  // spec at the very end of a large static fleet fails run_fleet with the
+  // validator's own message (and never leaves a shard waiting on a
+  // packing that will not come), at any shard count and either merge.
+  FleetConfig config;
+  config.tenants =
+      make_tenant_mix(20000, 2, 8.0, ArrivalKind::Poisson, /*mixed=*/false);
+  ArrivalSpec nan_rate = config.tenants.back().arrivals;
+  nan_rate.rate = std::nan("");
+  ArrivalSpec bad_dwell = config.tenants.back().arrivals;
+  bad_dwell.kind = ArrivalKind::Mmpp;
+  bad_dwell.base_dwell_s = 0.0;
+  for (const ArrivalSpec& bad : {nan_rate, bad_dwell}) {
+    std::string want;
+    try {
+      validate_arrivals(bad);
+    } catch (const std::invalid_argument& e) {
+      want = e.what();
+    }
+    ASSERT_FALSE(want.empty());
+    config.tenants.back().arrivals = bad;
+    for (int shards : {1, 3}) {
+      for (bool stream : {false, true}) {
+        config.shards = shards;
+        config.stream_metrics = stream;
+        try {
+          (void)run_fleet(config);
+          ADD_FAILURE() << "bad last tenant accepted at " << shards
+                        << " shards";
+        } catch (const std::invalid_argument& e) {
+          EXPECT_EQ(e.what(), want) << shards << " shards";
+        }
+      }
+    }
+  }
+}
+
+/// What pass 1 alone asks of a fresh catalog: one plan_sizes call per
+/// tenant, exactly as the fleet plan sizes it.
+PolicyCatalogStats plan_only_stats(const FleetConfig& config) {
+  PolicyCatalog catalog(tiny_catalog_config());
+  for (const TenantSpec& spec : config.tenants) {
+    const WorkloadSpec workload = workload_by_name(spec.workload);
+    const Seconds slo =
+        spec.slo > 0.0 ? spec.slo : workload.slo(spec.concurrency);
+    (void)catalog.plan_sizes(spec.policy, workload, slo, spec.concurrency,
+                             spec.size_mc);
+  }
+  return catalog.stats();
+}
+
+TEST(Fleet, OverlappedPlanWithColdCatalog) {
+  // Static shards build tenants while the caller thread still packs later
+  // ones.  With a cold catalog, every artifact a shard's make_policy reads
+  // must already exist when pass 1 ends, and the contention decorator
+  // reads each tenant's feed as soon as the watermark passes it.  Results
+  // must not depend on the shard count or the slicing; under TSan this is
+  // also the race oracle for the watermark.
+  FleetConfig config;
+  config.tenants = make_tenant_mix(
+      600, 12, 6.0, ArrivalKind::Poisson, /*mixed_kinds=*/true,
+      {"janus", "orion", "mean_based", "grandslam+", "fixed"});
+  for (TenantSpec& spec : config.tenants) spec.contention_alpha = 0.25;
+  config.seed = 91;
+  config.cluster.nodes = 8;
+  const PolicyCatalogStats plan_only = plan_only_stats(config);
+  const auto expect_plan_only = [&](const PolicyCatalog& catalog,
+                                    const std::string& run) {
+    EXPECT_EQ(catalog.stats().profiles_built, plan_only.profiles_built) << run;
+    EXPECT_EQ(catalog.stats().bundles_built, plan_only.bundles_built) << run;
+    EXPECT_EQ(catalog.stats().bundles_loaded, plan_only.bundles_loaded)
+        << run;
+    EXPECT_EQ(catalog.stats().orion_solved, plan_only.orion_solved) << run;
+  };
+
+  std::vector<FleetResult> runs;
+  for (int shards : {1, 2, 3}) {
+    PolicyCatalog catalog(tiny_catalog_config());
+    config.catalog = &catalog;
+    config.shards = shards;
+    runs.push_back(run_fleet(config));
+    expect_plan_only(catalog, std::to_string(shards) + " shards");
+  }
+  ASSERT_EQ(runs[0].tenants.size(), config.tenants.size());
+  for (std::size_t r = 1; r < runs.size(); ++r) {
+    expect_fleet_equal(runs[0], runs[r]);
+  }
+
+  // Slice workers: the first starts from a cold catalog, the second
+  // shares it, and neither adds to what the plan built.
+  PolicyCatalog catalog(tiny_catalog_config());
+  config.catalog = &catalog;
+  config.shards = 2;
+  std::vector<FleetSliceOutcome> slices;
+  slices.push_back(run_fleet_slice(config, 0, 250));
+  slices.push_back(run_fleet_slice(config, 250, 600));
+  expect_plan_only(catalog, "slices");
+  expect_fleet_equal(runs[0], merge_fleet_slices(config, std::move(slices)));
 }
 
 TEST(Fleet, StreamedMatchesDenseAcrossShards) {

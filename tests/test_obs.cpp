@@ -324,11 +324,13 @@ TEST(ObsProfile, FleetRunReportsPhases) {
     for (const auto& phase : r.obs.phases) names.push_back(phase.name);
     return names;
   };
-  // The phases tile the run, so together they cover the timed execution.
+  // The phases tile the whole run_fleet call, so they sum to its wall
+  // time: within 5%, either way.
   const auto covers_wall = [](const FleetResult& r) {
     double total = 0.0;
     for (const auto& phase : r.obs.phases) total += phase.seconds;
-    return total + 1e-6 >= r.wall_seconds;
+    return r.wall_seconds > 0.0 && total <= 1.05 * r.wall_seconds &&
+           total >= 0.95 * r.wall_seconds;
   };
   const FleetResult live = run_fleet(obs_fleet(2, &catalog));
   EXPECT_EQ(names_of(live),
@@ -342,6 +344,8 @@ TEST(ObsProfile, FleetRunReportsPhases) {
   EXPECT_EQ(live.obs.phases[2].entries,
             static_cast<std::uint64_t>(live.epochs) + 1);
   EXPECT_TRUE(covers_wall(live));
+  // The live path packs every tenant before its shards start.
+  EXPECT_EQ(live.obs.plan_wait_seconds, 0.0);
 
   // The static path builds each tenant right before simulating it, so
   // tenant construction is part of simulate; there is no barrier, hence
@@ -358,6 +362,10 @@ TEST(ObsProfile, FleetRunReportsPhases) {
         << (stream ? "streamed" : "static");
     EXPECT_EQ(r.obs.phases[1].entries, 1u);
     EXPECT_TRUE(covers_wall(r));
+    // Shards wait on the packing watermark inside simulate, never longer.
+    EXPECT_GE(r.obs.plan_wait_seconds, 0.0);
+    EXPECT_LE(r.obs.plan_wait_seconds,
+              fixed.shards * r.obs.phases[1].seconds);
   }
 }
 
@@ -377,6 +385,7 @@ TEST(ObsJson, FleetJsonCarriesObsBlock) {
   EXPECT_NE(json.find("\"spans_recorded\""), std::string::npos);
   EXPECT_NE(json.find("\"timeline_rows\""), std::string::npos);
   EXPECT_NE(json.find("\"phases\""), std::string::npos);
+  EXPECT_NE(json.find("\"plan_wait_seconds\""), std::string::npos);
   EXPECT_NE(json.find("\"name\": \"simulate\""), std::string::npos);
 }
 

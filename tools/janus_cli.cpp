@@ -12,9 +12,9 @@
 //
 // `serve` and `fleet` accept `--seed N` and `--json` so runs are
 // scriptable: a fixed seed reproduces every simulation metric bit-for-bit
-// (the fleet JSON's wall_seconds field is the one machine-dependent value)
-// and --json swaps the human tables for one machine-readable object on
-// stdout.
+// (in the fleet JSON only wall_seconds and the obs phases,
+// plan_wait_seconds and peak_pending are machine-dependent) and --json
+// swaps the human tables for one machine-readable object on stdout.
 //
 // Everything runs against the built-in workload catalog; CSV files use the
 // same schema as LatencyProfile/HintsTable::to_csv, so tables produced here
