@@ -10,9 +10,14 @@
 #     allocation discipline, shared-state hygiene; see tools/janus_lint.py)
 #     against the compile_commands.json the tier-1 configure just
 #     exported, plus clang-tidy when installed.  LINT=0 skips.
+#   * ASan/UBSan pass — the simulation-facing suites (sim/fleet/exp/obs/
+#     chaos) are rebuilt under -fsanitize=address,undefined in build-asan/
+#     and rerun: a fleet shard's tenant calendars share one closure slot
+#     pool, so closure lifetimes cross engines.  ASAN=0 skips.
 #   * TSan pass — the fleet drives the thread pool with real concurrency,
-#     so the concurrency-facing suites (fleet/common/sim) are rebuilt under
-#     -fsanitize=thread in build-thread/ and rerun.  TSAN=0 skips.
+#     so the concurrency-facing suites (fleet/common/sim/obs/chaos/
+#     frontier) are rebuilt under -fsanitize=thread in build-thread/ and
+#     rerun.  TSAN=0 skips.
 #   * Bench report — the fast benchmarks with committed baselines
 #     (fleet_scale, engine, autoscale, policy_mix, obs_overhead, chaos,
 #     frontier, plus a reduced-size fleet_huge) run once and
@@ -77,6 +82,14 @@ if [[ -z "$SANITIZE" ]]; then
     # The tier-1 configure above already exported compile_commands.json
     # into $BUILD_DIR, so this adds seconds, not a reconfigure.
     BUILD_DIR="$BUILD_DIR" ci/lint.sh
+  fi
+  if [[ "${ASAN:-1}" != "0" ]]; then
+    echo "== verify: ASan/UBSan pass (sim/fleet/exp/obs/chaos suites) =="
+    cmake -B build-asan -S . -DJANUS_SANITIZE=address+undefined
+    cmake --build build-asan -j --target test_sim test_fleet test_exp \
+      test_obs test_chaos
+    (cd build-asan && ctest -R 'test_(sim|fleet|exp|obs|chaos)' \
+       --output-on-failure -j)
   fi
   if [[ "${TSAN:-1}" != "0" ]]; then
     echo "== verify: ThreadSanitizer pass (fleet/common/sim/obs/chaos/frontier suites) =="

@@ -112,8 +112,10 @@ RunResult run_workload(const WorkloadSpec& workload, SizingPolicy& policy,
 /// slab has reached the run's peak in-flight count, serving a request
 /// performs no heap allocation.  Multiple tenants can serve on one engine:
 /// each call uses only its own platform/policy/rng streams, so a tenant's
-/// records are bit-identical no matter what else shares the calendar —
-/// this is what lets the fleet simulator put one SimEngine per shard.
+/// records are bit-identical no matter what else shares the calendar, or
+/// whether it has a calendar of its own — this is what lets the fleet run
+/// static tenants one after another on one reset() calendar per shard, and
+/// live tenants on per-tenant calendars drained one at a time.
 void serve_workload(SimEngine& engine, Platform& platform,
                     const WorkloadSpec& workload, SizingPolicy& policy,
                     const RunConfig& config, RunResult& out);

@@ -51,6 +51,12 @@ struct TenantSetup {
   std::unique_ptr<const ArrivalSpec> flashed;
 };
 
+double seconds_since(std::chrono::steady_clock::time_point since) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       since)
+      .count();
+}
+
 std::string fmt_double(double v) {
   std::ostringstream os;
   os.precision(10);
@@ -209,9 +215,10 @@ struct FoldPartial {
   std::uint64_t events = 0;
   Seconds sim_end = 0.0;
   EngineObs engine_obs;
-  /// Wall seconds the shard spent waiting on the packing watermark
-  /// (machine-dependent, reporting only).
+  /// Wall seconds the shard spent waiting on the packing watermark, and
+  /// working (machine-dependent, reporting only).
   double plan_wait_s = 0.0;
+  double busy_s = 0.0;
 
   void add_engine(const SimEngine& engine) {
     events += engine.executed();
@@ -333,10 +340,25 @@ std::uint64_t fold_tenant(const FleetConfig& config, const FleetPlan& plan,
   return viol;
 }
 
-/// The live path: every unfinished tenant stays on its shard's calendar,
-/// because each barrier reconciles all tenants' observed demand (and chaos
-/// may preempt any of them).  A tenant retires and folds at the first
-/// barrier after its last request completes; the rest after the last.
+/// The live path, tenant-major between barriers.  Every tenant has its own
+/// calendar, built on its shard's thread over the shard's slot pool.  At
+/// each barrier interval shard s drains its unfinished tenants one at a
+/// time, in increasing t, each with run_until(epoch_end), so one tenant's
+/// Platform, serve slab, policy and log stay cache-hot while its events
+/// fire.  Every tenant stays resident until it finishes, because each
+/// barrier reconciles all tenants' observed demand (and chaos may preempt
+/// any of them).  A tenant retires and folds at the first barrier after its
+/// last request completes, and its calendar is freed there: it holds
+/// nothing, since Platform schedules only completions and the arrivals stop
+/// at the last request.  The rest retire after the last barrier.
+///
+/// Why results match one shared calendar per shard, bit for bit: a tenant
+/// schedules only onto its own calendar, and barrier actions
+/// (preempt_busy, set_startup_multiplier, the feed updates) schedule
+/// nothing.  run_until leaves every calendar's now() at epoch_end, exactly
+/// as the shared calendar did, so a schedule_at clamp sees the same time.
+/// So each tenant's own events run in the same (time, seq) order as
+/// before; other tenants' events only ever interleaved with them.
 void run_live(const FleetConfig& config, FleetPlan& plan, ThreadPool& pool,
               std::size_t lo, std::size_t hi, PhaseProfiler& prof,
               std::vector<TraceRing>& rings,
@@ -346,18 +368,26 @@ void run_live(const FleetConfig& config, FleetPlan& plan, ThreadPool& pool,
   ControlPlane& control = *plan.control;
   ChaosEngine* chaos_eng = plan.chaos_eng.get();
   std::vector<TenantSim> sims(n);
+  // The pools outlive the calendars that borrow them; each is driven only
+  // by its shard's thread.
+  std::vector<SimEngine::SlotPool> pools(shards);
+  std::vector<std::unique_ptr<SimEngine>> engines(n);
+  // Runs body(s) on every shard, adding its wall time to the shard's busy_s.
+  const auto on_shards = [&](const auto& body) {
+    pool.parallel_for(shards, [&](std::size_t s) {
+      const auto since = std::chrono::steady_clock::now();
+      body(s);
+      partials[s].busy_s += seconds_since(since);
+    });
+  };
 
-  // Shard s builds the tenants t ≡ s (mod shards) in increasing t, so its
-  // engine receives the same schedule calls, in the same order, as a
-  // serial build of the whole range would give it.
-  std::vector<std::unique_ptr<SimEngine>> engines(shards);
   prof.begin("setup");
-  pool.parallel_for(shards, [&](std::size_t s) {
-    engines[s] = std::make_unique<SimEngine>();
-    if (config.obs.enabled()) engines[s]->set_obs(&partials[s].engine_obs);
+  on_shards([&](std::size_t s) {
     for (std::size_t t = shard_first(s, shards, lo); t < hi; t += shards) {
       const std::size_t i = t - lo;
-      build_tenant(config, plan, t, *engines[s],
+      engines[i] = std::make_unique<SimEngine>(pools[s]);
+      if (config.obs.enabled()) engines[i]->set_obs(&partials[s].engine_obs);
+      build_tenant(config, plan, t, *engines[i],
                    rings.empty() ? nullptr : &rings[i], sims[i]);
     }
   });
@@ -368,7 +398,7 @@ void run_live(const FleetConfig& config, FleetPlan& plan, ThreadPool& pool,
   std::vector<std::size_t> slo_cursor(n, 0);
   std::vector<std::uint64_t> slo_violations(n, 0);
   const auto retire_shards = [&](bool finished_only) {
-    pool.parallel_for(shards, [&](std::size_t s) {
+    on_shards([&](std::size_t s) {
       for (std::size_t t = shard_first(s, shards, lo); t < hi; t += shards) {
         const std::size_t i = t - lo;
         const std::size_t done = sims[i].result.requests.size();
@@ -382,6 +412,8 @@ void run_live(const FleetConfig& config, FleetPlan& plan, ThreadPool& pool,
         slo_violations[i] =
             fold_tenant(config, plan, t, sims[i], partials[s],
                         out.stream ? nullptr : &out.tenants[i]);
+        partials[s].add_engine(*engines[i]);
+        engines[i].reset();
       }
     });
   };
@@ -389,12 +421,14 @@ void run_live(const FleetConfig& config, FleetPlan& plan, ThreadPool& pool,
   for (Seconds epoch_end = control.epoch_s();;
        epoch_end += control.epoch_s()) {
     prof.begin("simulate");
-    pool.parallel_for(shards, [&](std::size_t s) {
-      engines[s]->run_until(epoch_end);
+    on_shards([&](std::size_t s) {
+      for (std::size_t t = shard_first(s, shards, lo); t < hi; t += shards) {
+        if (engines[t - lo]) engines[t - lo]->run_until(epoch_end);
+      }
     });
     bool pending = false;
     for (const auto& engine : engines) {
-      pending = pending || engine->pending() > 0;
+      pending = pending || (engine && engine->pending() > 0);
     }
     if (!pending) break;
     prof.begin("reconcile");
@@ -512,7 +546,6 @@ void run_live(const FleetConfig& config, FleetPlan& plan, ThreadPool& pool,
 
   prof.begin("merge");
   retire_shards(/*finished_only=*/false);
-  for (std::size_t s = 0; s < shards; ++s) partials[s].add_engine(*engines[s]);
 }
 
 /// Executes tenants [lo, hi) and folds their metrics into a slice outcome:
@@ -520,11 +553,11 @@ void run_live(const FleetConfig& config, FleetPlan& plan, ThreadPool& pool,
 /// range.  It runs the plan's pass 2 (every tenant, even outside the slice:
 /// the control summary is fleet-wide).  Two loops share build_tenant,
 /// retire_tenant and fold_tenant: run_live for epoch runs, and the
-/// tenant-major static loop below.  `plan_wait_s` receives the shards'
-/// summed wait on the packing watermark.
+/// tenant-major static loop below.  `shard_obs` receives the shards' summed
+/// wait on the packing watermark and their per-shard events and busy time.
 FleetSliceOutcome execute_slice(const FleetConfig& config, FleetPlan& plan,
                                 std::size_t lo, std::size_t hi,
-                                PhaseProfiler& prof, double& plan_wait_s) {
+                                PhaseProfiler& prof, FleetObs& shard_obs) {
   const std::size_t n = hi - lo;
   const ControlPlane& control = *plan.control;
   FleetSliceOutcome out;
@@ -579,9 +612,7 @@ FleetSliceOutcome execute_slice(const FleetConfig& config, FleetPlan& plan,
         while ((mark = packed.load(std::memory_order_acquire)) <= t) {
           std::this_thread::yield();
         }
-        part.plan_wait_s += std::chrono::duration<double>(
-                                std::chrono::steady_clock::now() - since)
-                                .count();
+        part.plan_wait_s += seconds_since(since);
       }
       return mark != kPackAborted;
     };
@@ -605,7 +636,12 @@ FleetSliceOutcome execute_slice(const FleetConfig& config, FleetPlan& plan,
     runs.reserve(shards);
     try {
       for (std::size_t s = 0; s < shards; ++s) {
-        runs.push_back(pool.submit([&run_shard, s] { run_shard(s); }));
+        runs.push_back(pool.submit([&run_shard, &partials, s] {
+          // Busy is the shard's whole run less its waits on the watermark.
+          const auto since = std::chrono::steady_clock::now();
+          run_shard(s);
+          partials[s].busy_s = seconds_since(since) - partials[s].plan_wait_s;
+        }));
       }
       pack_tenants(plan, [&packed](std::size_t done) {
         packed.store(done, std::memory_order_release);
@@ -619,7 +655,11 @@ FleetSliceOutcome execute_slice(const FleetConfig& config, FleetPlan& plan,
     }
     ThreadPool::join(runs);
   }
-  for (const FoldPartial& part : partials) plan_wait_s += part.plan_wait_s;
+  for (const FoldPartial& part : partials) {
+    shard_obs.plan_wait_seconds += part.plan_wait_s;
+    shard_obs.shard_events.push_back(part.events);
+    shard_obs.shard_busy_seconds.push_back(part.busy_s);
+  }
 
   prof.begin("merge");
   // Co-residency reports the final packing, known only after the last
@@ -726,7 +766,15 @@ std::string FleetResult::to_json() const {
      << ", \"timeline_rows\": " << obs.timeline.size()
      << ", \"peak_pending\": " << obs.peak_pending
      << ", \"plan_wait_seconds\": " << fmt_double(obs.plan_wait_seconds)
-     << ", \"phases\": [";
+     << ", \"shard_events\": [";
+  for (std::size_t s = 0; s < obs.shard_events.size(); ++s) {
+    os << (s > 0 ? ", " : "") << obs.shard_events[s];
+  }
+  os << "], \"shard_busy_seconds\": [";
+  for (std::size_t s = 0; s < obs.shard_busy_seconds.size(); ++s) {
+    os << (s > 0 ? ", " : "") << fmt_double(obs.shard_busy_seconds[s]);
+  }
+  os << "], \"phases\": [";
   for (std::size_t p = 0; p < obs.phases.size(); ++p) {
     os << (p > 0 ? ", " : "") << "{\"name\": \""
        << json_escape(obs.phases[p].name)
@@ -844,9 +892,9 @@ FleetResult run_fleet(const FleetConfig& config) {
            config.chaos.enabled() ? ", chaos on" : "");
   FleetPlan plan = plan_fleet(config);
 
-  double plan_wait_s = 0.0;
+  FleetObs shard_obs;
   std::vector<FleetSliceOutcome> slices;
-  slices.push_back(execute_slice(config, plan, 0, n, prof, plan_wait_s));
+  slices.push_back(execute_slice(config, plan, 0, n, prof, shard_obs));
 
   prof.begin("merge");
   FleetResult out = merge_fleet_slices(config, std::move(slices));
@@ -855,11 +903,11 @@ FleetResult run_fleet(const FleetConfig& config) {
     out.chaos = plan.chaos_eng->stats();
     out.chaos_log = plan.chaos_eng->log();
   }
-  out.obs.plan_wait_seconds = plan_wait_s;
+  out.obs.plan_wait_seconds = shard_obs.plan_wait_seconds;
+  out.obs.shard_events = std::move(shard_obs.shard_events);
+  out.obs.shard_busy_seconds = std::move(shard_obs.shard_busy_seconds);
   prof.end();
-  out.wall_seconds = std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - started)
-                         .count();
+  out.wall_seconds = seconds_since(started);
   out.obs.phases = prof.phases();
   return out;
 }
@@ -876,10 +924,10 @@ FleetSliceOutcome run_fleet_slice(const FleetConfig& config, std::size_t lo,
   require(!config.chaos.enabled(),
           "slice workers require chaos off (chaos tallies are fleet-wide)");
   FleetPlan plan = plan_fleet(config);
-  // Slice blobs carry no wall-clock figures.
+  // Slice blobs carry no wall-clock figures and no per-shard figures.
   PhaseProfiler prof;
-  double plan_wait_s = 0.0;
-  return execute_slice(config, plan, lo, hi, prof, plan_wait_s);
+  FleetObs shard_obs;
+  return execute_slice(config, plan, lo, hi, prof, shard_obs);
 }
 
 std::vector<TenantSpec> make_tenant_mix(

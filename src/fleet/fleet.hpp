@@ -1,14 +1,17 @@
 // Sharded multi-tenant fleet simulator.
 //
 // Runs N tenant workloads concurrently: tenants are dealt round-robin
-// across S shards, each shard builds its tenants on and drives one
-// deterministic SimEngine from the shared ThreadPool, and every tenant's
-// randomness derives from the fleet seed and its tenant index alone — so
-// fleet results are bit-identical regardless of the shard count.
-// On the static path (epoch_s = kNoEpochs) a shard runs its tenants one at
-// a time on one calendar, reset() between tenants; live runs keep every
-// unfinished tenant of a shard on its calendar, because each barrier
-// reconciles them all.
+// across S shards, each shard builds and drives its tenants from the
+// shared ThreadPool, and every tenant's randomness derives from the fleet
+// seed and its tenant index alone — so fleet results are bit-identical
+// regardless of the shard count.  Both paths are tenant-major: a shard
+// runs one tenant's events at a time, so that tenant's state stays
+// cache-hot.  On the static path (epoch_s = kNoEpochs) a shard runs its
+// tenants to completion one at a time on one calendar, reset() between
+// tenants.  Live runs keep every unfinished tenant resident, because each
+// barrier reconciles them all; each tenant has a calendar of its own over
+// its shard's shared slot pool, and between barriers the shard drains its
+// tenants' calendars one after another up to the barrier.
 //
 // Each tenant sizes its stages with a pluggable policy (fleet/policies):
 // the default "fixed" allocation, or any of the paper's §V systems —
@@ -146,9 +149,14 @@ struct FleetObs {
   std::vector<SpanRecord> spans;
   /// One row per (barrier, tenant, stage) (empty unless obs.timeline).
   std::vector<TimelineRow> timeline;
-  /// Σ events executed across shard engines (a per-tenant sum, so it is
+  /// Σ events executed across tenant calendars (a per-tenant sum, so it is
   /// shard-independent).
   std::uint64_t events_executed = 0;
+  /// Events executed per shard, in shard order; they sum to
+  /// events_executed.  Deterministic for a given shard count (a shard's
+  /// tenants are t ≡ s mod shards), so max/mean is the shards' simulated
+  /// load balance.  run_fleet only: slices leave it empty.
+  std::vector<std::uint64_t> shard_events;
   // ---- Machine-dependent (reporting only, never compared bit-for-bit).
   /// Wall-clock breakdown of run_fleet, in first-entry order; the phases
   /// tile the call, so they sum to FleetResult::wall_seconds.  Static
@@ -161,10 +169,15 @@ struct FleetObs {
   /// to place their next tenant, summed over shards (0 on the live path,
   /// which packs before any shard starts).
   double plan_wait_seconds = 0.0;
-  /// Max calendar occupancy across shard engines (0 when obs is off).  On
-  /// the static path this is the deepest single-tenant calendar, while
-  /// events_executed and sim_end_s still cover every tenant: the three do
-  /// not describe one calendar's event density there.
+  /// Wall seconds each shard's thread spent building, simulating, retiring
+  /// and folding its tenants, in shard order; waits on the packing
+  /// watermark and on barriers are excluded.  run_fleet only: slices leave
+  /// it empty.
+  std::vector<double> shard_busy_seconds;
+  /// Max calendar occupancy (0 when obs is off).  Every tenant runs on a
+  /// calendar of its own, on both paths, so this is the deepest
+  /// single-tenant calendar, while events_executed and sim_end_s cover
+  /// every tenant: the three do not describe one calendar's event density.
   std::uint64_t peak_pending = 0;
 };
 

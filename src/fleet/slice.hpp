@@ -81,7 +81,7 @@ struct FleetSliceOutcome {
   std::vector<SpanRecord> spans;        // slice tenants, tenant order
   std::vector<TimelineRow> timeline;    // slice tenants, (epoch, t, s) order
   std::uint64_t events_executed = 0;
-  /// Layout-dependent; static path: the deepest single-tenant calendar.
+  /// Layout-dependent: the deepest single-tenant calendar.
   std::uint64_t peak_pending = 0;
 
   // Control-plane summary — identical across slices of one run.

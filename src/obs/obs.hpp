@@ -79,10 +79,11 @@ struct ObsCounters {
   }
 };
 
-/// Per-engine (per-shard) gauges for the self-profiling pillar.  Calendar
-/// occupancy depends on which tenants share a shard, so these are
-/// *shard-layout dependent* and reported only in the machine-dependent
-/// profile section, never in the bit-identical metric set.
+/// Per-shard gauges for the self-profiling pillar, fed by every calendar
+/// the shard drives.  Calendar occupancy depends on how tenants are laid
+/// out on calendars, so these are *layout dependent* and reported only in
+/// the machine-dependent profile section, never in the bit-identical
+/// metric set.
 struct EngineObs {
   std::uint64_t peak_pending = 0;
 

@@ -2,26 +2,29 @@
 
 namespace janus {
 
+SimEngine::SimEngine()
+    : own_pool_(std::make_unique<SlotPool>()), pool_(own_pool_.get()) {}
+
 SimEngine::~SimEngine() {
   // Destroy closures of any never-executed events (run_until stopped, or
-  // the owner tore down mid-simulation).
-  for (const EventNode& n : current_) release_slot(n.slot());
+  // the owner tore down mid-simulation) and hand their slots back: a
+  // borrowed pool lives on.
+  for (const EventNode& n : current_) pool_->release(n.slot());
   for (std::size_t r = next_rung_; r < active_rungs_; ++r) {
-    for (const EventNode& n : rungs_[r]) release_slot(n.slot());
+    for (const EventNode& n : rungs_[r]) pool_->release(n.slot());
   }
-  for (const EventNode& n : far_) release_slot(n.slot());
+  for (const EventNode& n : far_) pool_->release(n.slot());
 }
 
-void SimEngine::grow_pool() {
-  require(slabs_.size() * kSlabSlots < (kSlotMask + 1) - kSlabSlots,
+void SimEngine::SlotPool::grow() {
+  require(slots() < (1ULL << kSlotBits) - kSlabSlots,
           "event slot space exhausted (16M in-flight events)");
-  const std::uint32_t base =
-      static_cast<std::uint32_t>(slabs_.size() * kSlabSlots);
+  const auto base = static_cast<std::uint32_t>(slots());
   slabs_.push_back(std::make_unique<Slot[]>(kSlabSlots));
-  free_slots_.reserve(slabs_.size() * kSlabSlots);
+  free_.reserve(slots());
   // Reversed so the new slab's slots hand out in ascending order.
   for (std::size_t i = kSlabSlots; i > 0; --i) {
-    free_slots_.push_back(base + static_cast<std::uint32_t>(i - 1));
+    free_.push_back(base + static_cast<std::uint32_t>(i - 1));
   }
 }
 

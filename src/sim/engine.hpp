@@ -16,9 +16,18 @@
 // Near-sorted arrival streams (open-loop load generators) make both
 // enqueue and dequeue amortized O(1) versus the heap's O(log n), and the
 // constant factor shrinks further because closures are placement-built
-// directly into a per-engine slot pool (no per-event malloc/free, no
-// relocation) and the ordering structures move 24-byte nodes, not
-// closures.
+// directly into a slot pool (no per-event malloc/free, no relocation) and
+// the ordering structures move 16-byte nodes, not closures.
+//
+// The slot pool (SimEngine::SlotPool) may be shared.  A default-built
+// engine owns a private pool; SimEngine(SlotPool&) borrows one, so many
+// small calendars (the live fleet's one per tenant) recycle one warm set
+// of slots.  The contract for engines that share a pool:
+//  * one thread at a time drives them — the pool has no locks;
+//  * the pool outlives every engine borrowing it (an engine destroyed
+//    with events still pending returns their slots to the pool);
+//  * the 16M in-flight slot space belongs to the pool: it bounds the sum
+//    of pending events over all the engines sharing it.
 //
 // Ordering contract (unchanged from the heap engine, and what keeps fleet
 // metrics bit-identical at any shard count): events execute in strict
@@ -57,7 +66,67 @@ using EventFn = InlineFunction<void(), kEventCaptureBytes>;
 
 class SimEngine {
  public:
-  SimEngine() = default;
+  /// Closure storage: fixed slabs of EventFn-sized slots that never move,
+  /// plus a LIFO free list (a freed slot is reused first, while its line
+  /// is still hot).  See the file comment for the sharing contract.
+  ///
+  /// alignas(64): every acquire and release writes the free list's header
+  /// (its end pointer), so a pool must own its cache line.  The fleet keeps
+  /// one pool per shard side by side in one vector; unaligned, two shards'
+  /// headers share a line and every event on one shard invalidates it on
+  /// the other's core — measured, that false sharing cost the live fleet
+  /// most of what per-tenant calendars gain.
+  class alignas(64) SlotPool {
+   public:
+    SlotPool() = default;
+    SlotPool(const SlotPool&) = delete;
+    SlotPool& operator=(const SlotPool&) = delete;
+
+    /// Slots that exist: free ones plus those holding a pending closure.
+    std::size_t slots() const noexcept { return slabs_.size() * kSlabSlots; }
+    /// Slots ready for the next acquire.
+    std::size_t free_slots() const noexcept { return free_.size(); }
+
+   private:
+    friend class SimEngine;
+    static constexpr std::uint64_t kSlotBits = 24;  // 16M in-flight closures
+    static constexpr std::size_t kSlabSlots = 256;  // closures per slab
+    struct Slot {
+      alignas(std::max_align_t) unsigned char bytes[sizeof(EventFn)];
+    };
+
+    JANUS_HOT EventFn* at(std::uint32_t slot) noexcept {
+      return reinterpret_cast<EventFn*>(
+          slabs_[slot / kSlabSlots][slot % kSlabSlots].bytes);
+    }
+
+    /// Placement-builds the callable into a free slot; returns its index.
+    template <typename F>
+    JANUS_HOT std::uint32_t acquire(F&& fn) {
+      if (free_.empty()) grow();
+      const std::uint32_t slot = free_.back();
+      free_.pop_back();
+      ::new (static_cast<void*>(at(slot))) EventFn(std::forward<F>(fn));
+      return slot;
+    }
+
+    JANUS_HOT void release(std::uint32_t slot) noexcept {
+      at(slot)->~EventFn();
+      // janus-lint: allow(hot-path-growth) free list capacity is reserved
+      // in grow for every slot that exists; push_back never reallocates.
+      free_.push_back(slot);
+    }
+
+    void grow();
+
+    std::vector<std::unique_ptr<Slot[]>> slabs_;
+    std::vector<std::uint32_t> free_;
+  };
+
+  /// An engine with its own slot pool.
+  SimEngine();
+  /// An engine whose closures live in `pool` (see the sharing contract).
+  explicit SimEngine(SlotPool& pool) noexcept : pool_(&pool) {}
   SimEngine(const SimEngine&) = delete;
   SimEngine& operator=(const SimEngine&) = delete;
   ~SimEngine();
@@ -85,7 +154,7 @@ class SimEngine {
     if (t < now_) t = now_;  // clamp: the past is served "now"
     require(next_seq_ < kMaxSeq, "event sequence space exhausted");
     const EventNode node{
-        t, (next_seq_++ << kSlotBits) | acquire_slot(std::forward<F>(fn))};
+        t, (next_seq_++ << kSlotBits) | pool_->acquire(std::forward<F>(fn))};
     ++size_;
     JANUS_OBS(obs_, obs_->note_pending(size_));
     if (t < current_end_) {
@@ -138,7 +207,7 @@ class SimEngine {
     // event's execution; with 100k+ pending events the pool outgrows
     // cache and this hides most of the dequeue's DRAM latency.
     if (!current_.empty()) {
-      __builtin_prefetch(slot_ptr(current_.front().slot()));
+      __builtin_prefetch(pool_->at(current_.front().slot()));
     }
 #endif
     // Invoke in place — no relocation.  The Slot[] slabs never move even
@@ -147,11 +216,11 @@ class SimEngine {
     // during unwinding if it throws, so the capture is still destroyed
     // (matching the old engine, where the heap Event died with the stack).
     struct SlotGuard {
-      SimEngine* engine;
+      SlotPool* pool;
       std::uint32_t slot;
-      ~SlotGuard() { engine->release_slot(slot); }
-    } guard{this, node.slot()};
-    (*slot_ptr(guard.slot))();
+      ~SlotGuard() { pool->release(slot); }
+    } guard{pool_, node.slot()};
+    (*pool_->at(guard.slot))();
     return true;
   }
 
@@ -195,7 +264,7 @@ class SimEngine {
       return static_cast<std::uint32_t>(seq_slot & kSlotMask);
     }
   };
-  static constexpr std::uint64_t kSlotBits = 24;  // 16M in-flight closures
+  static constexpr std::uint64_t kSlotBits = SlotPool::kSlotBits;
   static constexpr std::uint64_t kSlotMask = (1ULL << kSlotBits) - 1;
   static constexpr std::uint64_t kMaxSeq = 1ULL << (64 - kSlotBits);
 
@@ -210,37 +279,8 @@ class SimEngine {
     }
   };
 
-  static constexpr std::size_t kSlabSlots = 256;  // closures per slab
   static constexpr std::size_t kTargetRungSize = 64;  // events per bucket
   static constexpr std::size_t kMaxRungs = 1u << 14;
-  struct Slot {
-    alignas(std::max_align_t) unsigned char bytes[sizeof(EventFn)];
-  };
-
-  JANUS_HOT EventFn* slot_ptr(std::uint32_t slot) noexcept {
-    return reinterpret_cast<EventFn*>(
-        slabs_[slot / kSlabSlots][slot % kSlabSlots].bytes);
-  }
-
-  /// Placement-builds the callable into a pooled slot (freed slots recycle
-  /// LIFO, so the line is usually still hot) and returns its index.
-  template <typename F>
-  JANUS_HOT std::uint32_t acquire_slot(F&& fn) {
-    if (free_slots_.empty()) grow_pool();
-    const std::uint32_t slot = free_slots_.back();
-    free_slots_.pop_back();
-    ::new (static_cast<void*>(slot_ptr(slot))) EventFn(std::forward<F>(fn));
-    return slot;
-  }
-
-  JANUS_HOT void release_slot(std::uint32_t slot) noexcept {
-    slot_ptr(slot)->~EventFn();
-    // janus-lint: allow(hot-path-growth) free list capacity is reserved in
-    // grow_pool for every slot that exists; push_back never reallocates.
-    free_slots_.push_back(slot);
-  }
-
-  void grow_pool();
 
   /// Materializes the next non-empty bucket (or re-buckets far_) into
   /// current_; returns false when the whole calendar is empty.
@@ -267,9 +307,10 @@ class SimEngine {
   // Overflow beyond ladder_end_, re-bucketed on epoch advance.
   std::vector<EventNode> far_;
 
-  // Closure slot pool: slabs never move, freed slots recycle LIFO.
-  std::vector<std::unique_ptr<Slot[]>> slabs_;
-  std::vector<std::uint32_t> free_slots_;
+  // Where closures live: own_pool_ for a default-built engine, else a
+  // borrowed pool.
+  std::unique_ptr<SlotPool> own_pool_;
+  SlotPool* pool_;
 
   Seconds now_ = 0.0;
   Seconds last_event_ = 0.0;

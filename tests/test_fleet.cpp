@@ -7,6 +7,7 @@
 #include <cmath>
 #include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -1278,6 +1279,10 @@ TEST(Fleet, SliceWorkersAndMergeMatchWholeRun) {
   slices.push_back(decode_slice(encode_slice(run_fleet_slice(config, 2, 5))));
   const FleetResult merged = merge_fleet_slices(config, std::move(slices));
   expect_fleet_equal(whole, merged);
+  // Per-shard balance belongs to run_fleet; the slice codec carries none.
+  EXPECT_EQ(whole.obs.shard_events.size(), 2u);
+  EXPECT_TRUE(merged.obs.shard_events.empty());
+  EXPECT_TRUE(merged.obs.shard_busy_seconds.empty());
 
   // Gaps, overlaps, or a foreign seed must be rejected.
   std::vector<FleetSliceOutcome> gap;
@@ -1634,6 +1639,90 @@ TEST(Control, FeedsShareInternedDistributions) {
   EXPECT_DOUBLE_EQ(a.stage_distribution(0).mean(), 2.0);
   EXPECT_DOUBLE_EQ(a.stage_distribution(1).mean(), 1.0);
   EXPECT_EQ(control.tenant_group(1, 1), 3);
+}
+
+// --------------------------------------------------------------- golden --
+/// Simulated values a fleet run must reproduce bit for bit, recorded as
+/// hex-float literals.  The shard-equality tests compare runs with each
+/// other, so a change that moved results the same way at every shard count
+/// would pass them; these pins do not move with the code.
+struct GoldenFleet {
+  double violation_rate;
+  double mean_cpu_mc;
+  double p50;
+  double p99;
+  std::uint64_t events_executed;
+  double sim_end_s;
+  int last_nodes;  // the last epoch snapshot's nodes; final_nodes if static
+};
+
+void expect_golden(const FleetResult& got, const GoldenFleet& want) {
+  const auto hex = [](double v) {
+    std::ostringstream os;
+    os << std::hexfloat << v;
+    return os.str();
+  };
+  EXPECT_EQ(got.fleet_violation_rate, want.violation_rate)
+      << hex(got.fleet_violation_rate);
+  EXPECT_EQ(got.fleet_mean_cpu_mc, want.mean_cpu_mc)
+      << hex(got.fleet_mean_cpu_mc);
+  EXPECT_EQ(got.fleet_p50, want.p50) << hex(got.fleet_p50);
+  EXPECT_EQ(got.fleet_p99, want.p99) << hex(got.fleet_p99);
+  EXPECT_EQ(got.obs.events_executed, want.events_executed);
+  EXPECT_EQ(got.sim_end_s, want.sim_end_s) << hex(got.sim_end_s);
+  EXPECT_EQ(got.epoch_log.empty() ? got.final_nodes
+                                  : got.epoch_log.back().nodes,
+            want.last_nodes);
+}
+
+TEST(Fleet, GoldenResultsPinned) {
+  PolicyCatalog catalog(tiny_catalog_config());
+  FleetConfig live;
+  live.tenants = make_tenant_mix(6, 400, 8.0, ArrivalKind::Poisson,
+                                 /*mixed_kinds=*/true,
+                                 {"janus", "orion", "fixed"});
+  for (TenantSpec& tenant : live.tenants) tenant.contention_alpha = 0.25;
+  live.seed = 2026;
+  live.epoch_s = 15.0;
+  live.autoscale.enabled = true;
+  live.chaos.node_failures = true;
+  live.chaos.preemption = true;
+  live.chaos.cold_storms = true;
+  live.chaos.flash_crowds = true;
+  live.catalog = &catalog;
+
+  FleetConfig fixed;
+  fixed.tenants = make_tenant_mix(6, 400, 8.0, ArrivalKind::Poisson,
+                                  /*mixed_kinds=*/true,
+                                  {"janus", "orion", "fixed"});
+  fixed.seed = 2026;
+  fixed.catalog = &catalog;
+
+  // Recorded with the live path's tenants sharing one calendar per shard.
+  const GoldenFleet live_want{0x1.f777777777777p-4, 0x1.0ec0e147ae148p+13,
+                              0x1.602778a0c1ccp+0,  0x1.3f6188d40b7f2p+2,
+                              9696,                 0x1.c5f73fcd0aa6dp+5,
+                              19};
+  const GoldenFleet fixed_want{0x1.e3d70a3d70a3dp-3, 0x1.49aap+12,
+                               0x1.d3e7fd0a94274p+0, 0x1.c3934c2071556p+1,
+                               9600,                 0x1.07afc069f743p+6,
+                               16};
+  for (int shards : {1, 3}) {
+    SCOPED_TRACE(shards);
+    live.shards = shards;
+    fixed.shards = shards;
+    const FleetResult live_run = run_fleet(live);
+    ASSERT_GT(live_run.epochs, 1);
+    ASSERT_GT(live_run.chaos_log.size(), 0u);
+    {
+      SCOPED_TRACE("live");
+      expect_golden(live_run, live_want);
+    }
+    {
+      SCOPED_TRACE("static");
+      expect_golden(run_fleet(fixed), fixed_want);
+    }
+  }
 }
 
 }  // namespace

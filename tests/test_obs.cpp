@@ -332,6 +332,19 @@ TEST(ObsProfile, FleetRunReportsPhases) {
     return r.wall_seconds > 0.0 && total <= 1.05 * r.wall_seconds &&
            total >= 0.95 * r.wall_seconds;
   };
+  // One entry per shard: events that sum to the fleet's, and busy time
+  // that no shard can spend outside the run.
+  const auto balance_adds_up = [](const FleetResult& r) {
+    std::uint64_t events = 0;
+    for (const std::uint64_t e : r.obs.shard_events) events += e;
+    bool busy_in_wall = true;
+    for (const double busy : r.obs.shard_busy_seconds) {
+      busy_in_wall = busy_in_wall && busy >= 0.0 && busy <= r.wall_seconds;
+    }
+    return r.obs.shard_events.size() == static_cast<std::size_t>(r.shards) &&
+           r.obs.shard_busy_seconds.size() == r.obs.shard_events.size() &&
+           events == r.obs.events_executed && busy_in_wall;
+  };
   const FleetResult live = run_fleet(obs_fleet(2, &catalog));
   EXPECT_EQ(names_of(live),
             (std::vector<std::string>{"plan", "setup", "simulate",
@@ -344,6 +357,7 @@ TEST(ObsProfile, FleetRunReportsPhases) {
   EXPECT_EQ(live.obs.phases[2].entries,
             static_cast<std::uint64_t>(live.epochs) + 1);
   EXPECT_TRUE(covers_wall(live));
+  EXPECT_TRUE(balance_adds_up(live));
   // The live path packs every tenant before its shards start.
   EXPECT_EQ(live.obs.plan_wait_seconds, 0.0);
 
@@ -362,6 +376,7 @@ TEST(ObsProfile, FleetRunReportsPhases) {
         << (stream ? "streamed" : "static");
     EXPECT_EQ(r.obs.phases[1].entries, 1u);
     EXPECT_TRUE(covers_wall(r));
+    EXPECT_TRUE(balance_adds_up(r));
     // Shards wait on the packing watermark inside simulate, never longer.
     EXPECT_GE(r.obs.plan_wait_seconds, 0.0);
     EXPECT_LE(r.obs.plan_wait_seconds,
@@ -386,6 +401,8 @@ TEST(ObsJson, FleetJsonCarriesObsBlock) {
   EXPECT_NE(json.find("\"timeline_rows\""), std::string::npos);
   EXPECT_NE(json.find("\"phases\""), std::string::npos);
   EXPECT_NE(json.find("\"plan_wait_seconds\""), std::string::npos);
+  EXPECT_NE(json.find("\"shard_events\": ["), std::string::npos);
+  EXPECT_NE(json.find("\"shard_busy_seconds\": ["), std::string::npos);
   EXPECT_NE(json.find("\"name\": \"simulate\""), std::string::npos);
 }
 

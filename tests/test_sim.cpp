@@ -1,5 +1,6 @@
 // Tests for src/sim: event engine ordering (including the differential
-// ladder-vs-heap replay and the allocation-free steady-state contract),
+// ladder-vs-heap replay, calendars sharing one slot pool, and the
+// allocation-free steady-state contract),
 // platform pod lifecycle, warm pools, co-location packing, invoke outcomes,
 // the allocation-free request path through exp/runner's serve_workload,
 // and the per-tenant allocation budget of a streamed fleet.
@@ -241,49 +242,52 @@ class ReferenceHeapEngine {
   std::uint64_t next_seq_ = 0;
 };
 
-/// Replays one randomized schedule through `Engine` and logs the execution
-/// order.  Event ids, spawn times, and cascade fan-out all come from a
+/// One randomized schedule on `Engine` that logs its execution order.
+/// Event ids, spawn times, and cascade fan-out all come from a
 /// deterministic Rng that advances *during execution*, so the log (and the
 /// RNG stream itself) diverges at the first ordering difference.  Times are
 /// quantized to a coarse grid to force plenty of exact (time, seq) ties,
-/// and offsets dip negative to exercise the t < now() clamp.
+/// and offsets dip negative to exercise the t < now() clamp.  The script
+/// must not move: its closures point at it.
+template <typename Engine>
+struct ReplayScript {
+  Engine& engine;
+  Rng rng;
+  std::vector<std::pair<int, double>> log;
+  int budget;
+  int next_id = 0;
+
+  ReplayScript(Engine& e, std::uint64_t seed, int roots, int b)
+      : engine(e), rng(seed), budget(b) {
+    for (int i = 0; i < roots; ++i) spawn(quantize(rng.uniform(0.0, 50.0)));
+  }
+
+  double quantize(double t) { return std::floor(t * 4.0) / 4.0; }
+
+  void spawn(double t) {
+    const int id = next_id++;
+    engine.schedule_at(t, [this, id] { fire(id); });
+  }
+
+  void fire(int id) {
+    log.emplace_back(id, engine.now());
+    const int kids = static_cast<int>(rng.uniform_int(0, 2));
+    for (int k = 0; k < kids; ++k) {
+      if (budget-- <= 0) return;
+      // Negative offsets exercise the clamp; the quantized grid makes
+      // same-time collisions (seq tie-breaks) common.
+      spawn(engine.now() + quantize(rng.uniform(-2.0, 8.0)));
+    }
+  }
+};
+
+/// Replays one ReplayScript to completion and returns its log.
 template <typename Engine>
 std::vector<std::pair<int, double>> replay_script(Engine& engine,
                                                   std::uint64_t seed,
                                                   int roots, int budget) {
-  struct Script {
-    Engine& engine;
-    Rng rng;
-    std::vector<std::pair<int, double>> log;
-    int budget;
-    int next_id = 0;
-
-    Script(Engine& e, std::uint64_t s, int b) : engine(e), rng(s), budget(b) {}
-
-    double quantize(double t) { return std::floor(t * 4.0) / 4.0; }
-
-    void spawn(double t) {
-      const int id = next_id++;
-      engine.schedule_at(t, [this, id] { fire(id); });
-    }
-
-    void fire(int id) {
-      log.emplace_back(id, engine.now());
-      const int kids = static_cast<int>(rng.uniform_int(0, 2));
-      for (int k = 0; k < kids; ++k) {
-        if (budget-- <= 0) return;
-        // Negative offsets exercise the clamp; the quantized grid makes
-        // same-time collisions (seq tie-breaks) common.
-        spawn(engine.now() + quantize(rng.uniform(-2.0, 8.0)));
-      }
-    }
-  };
-
-  Script script(engine, seed, budget);
-  for (int i = 0; i < roots; ++i) {
-    script.spawn(script.quantize(script.rng.uniform(0.0, 50.0)));
-  }
-  script.engine.run();
+  ReplayScript<Engine> script(engine, seed, roots, budget);
+  engine.run();
   return script.log;
 }
 
@@ -359,6 +363,73 @@ TEST(SimEngine, ResetEngineReplaysLikeFreshEngine) {
     reused.run_until(1e9);
     reused.reset();
   }
+}
+
+/// Advances `scripts` in run_until slices, one calendar after another,
+/// and schedules one more root per script at each boundary up to t = 100,
+/// until every calendar drains.
+void drive_in_slices(const std::vector<ReplayScript<SimEngine>*>& scripts) {
+  for (Seconds until = 10.0;; until += 10.0) {
+    bool pending = false;
+    for (ReplayScript<SimEngine>* script : scripts) {
+      script->engine.run_until(until);
+      if (until <= 100.0) {
+        script->spawn(until + script->quantize(script->rng.uniform(-2.0, 20.0)));
+      }
+      pending = pending || script->engine.pending() > 0;
+    }
+    if (!pending) return;
+  }
+}
+
+TEST(SimEngine, SharedSlotPool) {
+  // Two calendars on one pool, advanced in interleaved slices, each
+  // execute exactly the order they execute alone: the pool only stores
+  // closures, and every ordering decision is the calendar's own.
+  SimEngine alone_a;
+  SimEngine alone_b;
+  ReplayScript<SimEngine> want_a(alone_a, 3, 150, 3000);
+  ReplayScript<SimEngine> want_b(alone_b, 4, 150, 3000);
+  drive_in_slices({&want_a});
+  drive_in_slices({&want_b});
+
+  SimEngine::SlotPool pool;
+  {
+    SimEngine a(pool);
+    SimEngine b(pool);
+    ReplayScript<SimEngine> got_a(a, 3, 150, 3000);
+    ReplayScript<SimEngine> got_b(b, 4, 150, 3000);
+    EXPECT_LT(pool.free_slots(), pool.slots());
+    drive_in_slices({&got_a, &got_b});
+    EXPECT_EQ(got_a.log, want_a.log);
+    EXPECT_EQ(got_b.log, want_b.log);
+    EXPECT_EQ(a.executed(), alone_a.executed());
+    EXPECT_EQ(b.last_event_s(), alone_b.last_event_s());
+    EXPECT_EQ(pool.free_slots(), pool.slots());
+
+    // reset() rewinds a borrowing calendar like any other.
+    a.reset();
+    EXPECT_EQ(replay_script(a, 42, 200, 4000),
+              replay_script<SimEngine>(42, 200, 4000));
+  }
+  EXPECT_EQ(pool.free_slots(), pool.slots());
+
+  // A calendar destroyed with events still pending (in the drain bucket,
+  // the ladder and the far list) destroys their closures and hands every
+  // slot back to the pool, which outlives it.
+  const auto token = std::make_shared<int>(0);
+  {
+    SimEngine doomed(pool);
+    for (int i = 0; i < 1000; ++i) {
+      doomed.schedule_at(0.5 * i, [token] { (void)*token; });
+    }
+    doomed.run_until(100.0);
+    doomed.schedule_at(1e6, [token] { (void)*token; });
+    EXPECT_EQ(doomed.pending(), 800u);
+    EXPECT_LT(pool.free_slots(), pool.slots());
+  }
+  EXPECT_EQ(token.use_count(), 1);
+  EXPECT_EQ(pool.free_slots(), pool.slots());
 }
 
 // ---- allocation-free steady state ---------------------------------------
@@ -759,13 +830,20 @@ TEST(Runner, SteadyStateServeWorkloadDoesNotAllocate) {
       << "live epoch feed with contention-aware sizing allocated";
 }
 
-// Several tenants' streams served on one calendar, on one calendar each, or
-// one after another on a calendar reset() in between must give every tenant
-// the same records and platform tallies, bit for bit: a tenant's
-// randomness, Platform and co-location are its own, and a schedule clamp
-// only ever compares against the firing event's own time.  The fleet's
-// shard layouts and its tenant-major static loop rest on this.
-enum class CalendarLayout { kShared, kPerTenant, kResetBetween };
+// Several tenants' streams served on one calendar, on one calendar each,
+// one after another on a calendar reset() in between, or on one calendar
+// each over a shared slot pool, advanced tenant-major in run_until slices,
+// must give every tenant the same records and platform tallies, bit for
+// bit: a tenant's randomness, Platform and co-location are its own, and a
+// schedule clamp only ever compares against the firing event's own time.
+// The fleet's shard layouts, its tenant-major static loop and its
+// per-tenant live calendars rest on this.
+enum class CalendarLayout {
+  kShared,
+  kPerTenant,
+  kResetBetween,
+  kPerTenantSharedPool
+};
 
 struct ServedTenant {
   RunResult result;
@@ -774,6 +852,7 @@ struct ServedTenant {
 };
 
 struct ServedFleet {
+  std::unique_ptr<SimEngine::SlotPool> pool;  // outlives the engines
   std::vector<std::unique_ptr<SimEngine>> engines;  // outlive the tenants
   std::vector<std::unique_ptr<ServedTenant>> tenants;
 };
@@ -783,12 +862,17 @@ ServedFleet serve_tenants(CalendarLayout layout, PolicyCatalog& catalog) {
   constexpr ArrivalKind kKinds[] = {ArrivalKind::Poisson, ArrivalKind::Mmpp,
                                     ArrivalKind::Diurnal};
   ServedFleet fleet;
-  if (layout != CalendarLayout::kPerTenant) {
+  const bool shared_pool = layout == CalendarLayout::kPerTenantSharedPool;
+  if (shared_pool) fleet.pool = std::make_unique<SimEngine::SlotPool>();
+  if (layout == CalendarLayout::kShared ||
+      layout == CalendarLayout::kResetBetween) {
     fleet.engines.push_back(std::make_unique<SimEngine>());
   }
   for (int i = 0; i < kTenants; ++i) {
     if (layout == CalendarLayout::kPerTenant) {
       fleet.engines.push_back(std::make_unique<SimEngine>());
+    } else if (shared_pool) {
+      fleet.engines.push_back(std::make_unique<SimEngine>(*fleet.pool));
     }
     SimEngine& engine = *fleet.engines.back();
     // VA configures an SLO at concurrency 1 only; IA alternates 1 and 2.
@@ -816,7 +900,8 @@ ServedFleet serve_tenants(CalendarLayout layout, PolicyCatalog& catalog) {
         catalog.make_policy(policy_name, workload, rc.slo, conc, 1800);
     serve_workload(engine, *tenant->platform, workload, *tenant->policy, rc,
                    tenant->result);
-    if (layout != CalendarLayout::kShared) {
+    if (layout == CalendarLayout::kPerTenant ||
+        layout == CalendarLayout::kResetBetween) {
       engine.run();
       EXPECT_EQ(engine.pending(), 0u);
       if (layout == CalendarLayout::kResetBetween) engine.reset();
@@ -824,6 +909,18 @@ ServedFleet serve_tenants(CalendarLayout layout, PolicyCatalog& catalog) {
     fleet.tenants.push_back(std::move(tenant));
   }
   if (layout == CalendarLayout::kShared) fleet.engines.front()->run();
+  if (shared_pool) {
+    // Tenant-major slices, the way a live fleet shard drains its tenants
+    // between barriers.
+    for (Seconds until = 2.5;; until += 2.5) {
+      bool pending = false;
+      for (const auto& engine : fleet.engines) {
+        engine->run_until(until);
+        pending = pending || engine->pending() > 0;
+      }
+      if (!pending) break;
+    }
+  }
   return fleet;
 }
 
@@ -834,9 +931,9 @@ TEST(Runner, TenantResultsIndependentOfCalendarSharing) {
   PolicyCatalog catalog(cfg);
   const ServedFleet shared = serve_tenants(CalendarLayout::kShared, catalog);
   for (const CalendarLayout layout :
-       {CalendarLayout::kPerTenant, CalendarLayout::kResetBetween}) {
-    SCOPED_TRACE(layout == CalendarLayout::kPerTenant ? "per-tenant"
-                                                      : "reset-between");
+       {CalendarLayout::kPerTenant, CalendarLayout::kResetBetween,
+        CalendarLayout::kPerTenantSharedPool}) {
+    SCOPED_TRACE(static_cast<int>(layout));
     const ServedFleet other = serve_tenants(layout, catalog);
     ASSERT_EQ(other.tenants.size(), shared.tenants.size());
     for (std::size_t t = 0; t < shared.tenants.size(); ++t) {
