@@ -63,7 +63,7 @@ bool results_identical(const FleetResult& a, const FleetResult& b) {
       a.fleet_mean_cpu_mc != b.fleet_mean_cpu_mc ||
       a.epochs != b.epochs || a.final_nodes != b.final_nodes ||
       a.nodes_added != b.nodes_added || a.nodes_removed != b.nodes_removed ||
-      a.fleet_e2e.sorted_samples() != b.fleet_e2e.sorted_samples()) {
+      a.fleet_e2e().sorted_samples() != b.fleet_e2e().sorted_samples()) {
     return false;
   }
   return true;

@@ -73,7 +73,7 @@ bool metrics_identical(const FleetResult& a, const FleetResult& b) {
       a.fleet_violation_rate != b.fleet_violation_rate ||
       a.fleet_mean_cpu_mc != b.fleet_mean_cpu_mc ||
       a.total_requests != b.total_requests ||
-      a.fleet_e2e.sorted_samples() != b.fleet_e2e.sorted_samples()) {
+      a.fleet_e2e().sorted_samples() != b.fleet_e2e().sorted_samples()) {
     return false;
   }
   if (a.tenants.size() != b.tenants.size()) return false;

@@ -311,11 +311,21 @@ std::uint64_t fold_tenant(const FleetConfig& config, const FleetPlan& plan,
   const RequestLog& log = sim.result.requests;
   std::uint64_t viol = 0;
   double cpu = 0.0;
+  std::vector<double> e2e;  // the row's samples
+  if (row != nullptr) e2e.reserve(log.size());
   for (const auto& req : log) {
     viol += req.violated ? 1 : 0;
     cpu += req.cpu_mc;
     part.hist.add(req.e2e);
+    if (row != nullptr) e2e.push_back(req.e2e);
   }
+  part.requests += log.size();
+  part.violations += viol;
+  part.cpu += cpu;
+  part.counters.merge(sim.counters);
+  // The log goes before the row sorts, so the sort's scratch buffer is
+  // never resident next to it.
+  sim.result.requests.release();
   if (row != nullptr) {
     const TenantSpec& spec = config.tenants[t];
     const double requests = static_cast<double>(log.size());
@@ -328,15 +338,10 @@ std::uint64_t fold_tenant(const FleetConfig& config, const FleetPlan& plan,
     row->slo = plan.setups[t].slo;
     row->violation_rate = static_cast<double>(viol) / requests;
     row->mean_cpu_mc = cpu / requests;
-    row->e2e = sim.result.e2e_distribution();
+    row->e2e = EmpiricalDistribution(std::move(e2e));
     row->e2e_p50 = row->e2e.percentile(50.0);
     row->e2e_p99 = row->e2e.percentile(99.0);
   }
-  part.requests += log.size();
-  part.violations += viol;
-  part.cpu += cpu;
-  part.counters.merge(sim.counters);
-  sim.result.requests.release();
   return viol;
 }
 
@@ -700,7 +705,26 @@ FleetSliceOutcome execute_slice(const FleetConfig& config, FleetPlan& plan,
   return out;
 }
 
+/// Each tenant's latency row, in tenant order (none when streamed).
+std::vector<const EmpiricalDistribution*> latency_rows(
+    const std::vector<TenantResult>& tenants) {
+  std::vector<const EmpiricalDistribution*> rows;
+  rows.reserve(tenants.size());
+  for (const TenantResult& tr : tenants) rows.push_back(&tr.e2e);
+  return rows;
+}
+
 }  // namespace
+
+EmpiricalDistribution FleetResult::fleet_e2e() const {
+  return EmpiricalDistribution::merge_all(latency_rows(tenants));
+}
+
+double FleetResult::fleet_percentile(double p) const {
+  return streamed ? fleet_hist.percentile(p)
+                  : EmpiricalDistribution::percentile_of(latency_rows(tenants),
+                                                         p);
+}
 
 std::string FleetResult::to_json() const {
   std::ostringstream os;
@@ -763,9 +787,9 @@ std::string FleetResult::to_json() const {
      << ", \"spans_recorded\": " << obs.counters.spans_recorded
      << ", \"spans_dropped\": " << obs.counters.spans_dropped
      << ", \"spans_retained\": " << obs.spans.size()
-     << ", \"timeline_rows\": " << obs.timeline.size()
-     << ", \"peak_pending\": " << obs.peak_pending
-     << ", \"plan_wait_seconds\": " << fmt_double(obs.plan_wait_seconds)
+     << ", \"timeline_rows\": " << obs.timeline.size();
+  if (obs.peak_pending > 0) os << ", \"peak_pending\": " << obs.peak_pending;
+  os << ", \"plan_wait_seconds\": " << fmt_double(obs.plan_wait_seconds)
      << ", \"shard_events\": [";
   for (std::size_t s = 0; s < obs.shard_events.size(); ++s) {
     os << (s > 0 ? ", " : "") << obs.shard_events[s];
@@ -862,17 +886,8 @@ FleetResult merge_fleet_slices(const FleetConfig& config,
                 : 0.0;
   out.fleet_mean_cpu_mc =
       total > 0 ? cpu_total / static_cast<double>(total) : 0.0;
-  if (stream) {
-    out.fleet_p50 = total > 0 ? out.fleet_hist.percentile(50.0) : 0.0;
-    out.fleet_p99 = total > 0 ? out.fleet_hist.percentile(99.0) : 0.0;
-  } else {
-    std::vector<const EmpiricalDistribution*> parts;
-    parts.reserve(n);
-    for (const TenantResult& tr : out.tenants) parts.push_back(&tr.e2e);
-    out.fleet_e2e = EmpiricalDistribution::merge_all(parts);
-    out.fleet_p50 = out.fleet_e2e.percentile(50.0);
-    out.fleet_p99 = out.fleet_e2e.percentile(99.0);
-  }
+  out.fleet_p50 = total > 0 ? out.fleet_percentile(50.0) : 0.0;
+  out.fleet_p99 = total > 0 ? out.fleet_percentile(99.0) : 0.0;
   return out;
 }
 

@@ -41,8 +41,10 @@
 // (static path: when its calendar drains; live path: at the first barrier
 // after its last request completes) into its TenantResult row and its
 // shard's totals and histogram.  The merge concatenates: totals and
-// histograms add, rows append in tenant order, and the fleet latency
-// distribution is one EmpiricalDistribution::merge_all over the rows.
+// histograms add, and rows append in tenant order.  It builds no fleet-wide
+// latency vector: the fleet percentiles are exact order statistics selected
+// across the rows (EmpiricalDistribution::percentile_of), and the merged
+// distribution is built only on request (FleetResult::fleet_e2e()).
 #pragma once
 
 #include <cstddef>
@@ -94,8 +96,8 @@ struct FleetConfig {
   int shards = 1;
   /// Streaming merge: a tenant's fold keeps no per-tenant row, so memory
   /// stays O(active tenants) instead of O(total requests).  The cost is
-  /// per-tenant reporting: no TenantResult rows, fleet_e2e stays empty,
-  /// and fleet p50/p99 come from the merged histogram
+  /// per-tenant reporting: no TenantResult rows, fleet_e2e() is empty,
+  /// and the fleet percentiles come from the merged histogram
   /// (Histogram::percentile) rather than exact order statistics.
   /// Requires span tracing off.  The epoch audit trail, counter set, chaos
   /// record, and scalar fleet metrics are bit-identical to the default path.
@@ -174,21 +176,21 @@ struct FleetObs {
   /// watermark and on barriers are excluded.  run_fleet only: slices leave
   /// it empty.
   std::vector<double> shard_busy_seconds;
-  /// Max calendar occupancy (0 when obs is off).  Every tenant runs on a
-  /// calendar of its own, on both paths, so this is the deepest
-  /// single-tenant calendar, while events_executed and sim_end_s cover
-  /// every tenant: the three do not describe one calendar's event density.
+  /// Max calendar occupancy (0 when obs is off, and then absent from
+  /// FleetResult::to_json).  Every tenant runs on a calendar of its own, on
+  /// both paths, so this is the deepest single-tenant calendar, while
+  /// events_executed and sim_end_s cover every tenant: the three do not
+  /// describe one calendar's event density.
   std::uint64_t peak_pending = 0;
 };
 
 struct FleetResult {
   std::vector<TenantResult> tenants;
-  /// Merged across tenants (in tenant order, so the fold is reproducible).
-  EmpiricalDistribution fleet_e2e;
   Histogram fleet_hist{0.0, 1.0, 1};
   std::size_t total_requests = 0;
   double fleet_violation_rate = 0.0;
   double fleet_mean_cpu_mc = 0.0;
+  /// fleet_percentile(50) and fleet_percentile(99) (0 on an empty fleet).
   double fleet_p50 = 0.0;
   double fleet_p99 = 0.0;
   /// Simulated time of the fleet's last executed event (the makespan).
@@ -225,8 +227,19 @@ struct FleetResult {
   /// and timeline fill in when the matching FleetConfig::obs pillar is on).
   FleetObs obs;
 
+  /// Every request's end-to-end latency, merged from the tenant rows in
+  /// tenant order (one EmpiricalDistribution::merge_all, built per call);
+  /// empty when the run streamed.
+  EmpiricalDistribution fleet_e2e() const;
+
+  /// The fleet's p-th latency percentile, p in [0, 100]: exactly
+  /// fleet_e2e().percentile(p) on a dense run, selected across the rows
+  /// without merging them; fleet_hist.percentile(p) on a streamed run.
+  double fleet_percentile(double p) const;
+
   /// Stable machine-readable rendering (for `janus_cli fleet --json` and
-  /// the fleet benches).
+  /// the fleet benches).  obs.peak_pending is rendered only when the run
+  /// measured it (an armed gauge reads >= 1 on any run with a request).
   std::string to_json() const;
 };
 

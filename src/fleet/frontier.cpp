@@ -76,10 +76,7 @@ FrontierPoint run_point(const FrontierConfig& config, double base_rps,
   point.slo_met = 1.0 - result.fleet_violation_rate;
   point.p50_s = result.fleet_p50;
   point.p99_s = result.fleet_p99;
-  // P999 mirrors the fleet's p50/p99 sourcing: exact order statistics on
-  // the dense path, histogram interpolation when the run streamed.
-  point.p999_s = result.streamed ? result.fleet_hist.percentile(99.9)
-                                 : result.fleet_e2e.percentile(99.9);
+  point.p999_s = result.fleet_percentile(99.9);
   point.peak_pending = result.obs.peak_pending;
   point.peak_rss_kb = peak_rss_kb_now();
   return point;

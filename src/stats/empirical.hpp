@@ -11,7 +11,12 @@ namespace janus {
 class EmpiricalDistribution {
  public:
   EmpiricalDistribution() = default;
-  /// Takes ownership of samples; sorts them once.  Throws on empty input.
+  /// Takes ownership of samples and sorts them once, in place: an LSD radix
+  /// sort on the order-preserving 64-bit key of each double, with one
+  /// scratch buffer of n keys (std::sort by the same key below 128
+  /// samples).  The order is ascending, with -0.0 before +0.0; equal samples
+  /// are bit-identical, so the sorted vector is a pure function of the
+  /// sample multiset.  Throws on empty input or on a NaN sample.
   explicit EmpiricalDistribution(std::vector<double> samples);
 
   std::size_t size() const noexcept { return sorted_.size(); }
@@ -44,16 +49,28 @@ class EmpiricalDistribution {
   void merge(const EmpiricalDistribution& other);
 
   /// The union of `parts` in one pass: a k-way heap merge of the sorted
-  /// runs into one reserved vector (ties go to the earlier part), and
+  /// runs into one reserved vector (in the constructor's order), and
   /// Chan's update applied in part order, skipping empty parts.  Bit-equal
   /// to folding the parts left to right with merge(), in O(N log k)
   /// instead of O(N k).
   static EmpiricalDistribution merge_all(
       const std::vector<const EmpiricalDistribution*>& parts);
 
+  /// merge_all(parts).percentile(p), bit for bit, without building the
+  /// union.  The lower of the two order statistics the interpolation reads
+  /// is found by bisection over the 64-bit sample keys, counting the
+  /// samples <= a key with one binary search per part; the upper one is
+  /// the same sample or, one binary search per part later, the next larger
+  /// one.  O(64 k log m) for k parts of at most m samples; allocates
+  /// nothing.  Throws like percentile() when p is outside [0, 100] or every
+  /// part is empty.
+  static double percentile_of(
+      const std::vector<const EmpiricalDistribution*>& parts, double p);
+
   /// Rebuilds a distribution from serialized state (codec decode path).
-  /// `sorted` must already be sorted ascending; mean/m2 are taken verbatim
-  /// so a decode(encode(d)) round-trip is bit-exact, not re-derived.
+  /// `sorted` must already be in the constructor's order; mean/m2 are taken
+  /// verbatim so a decode(encode(d)) round-trip is bit-exact, not
+  /// re-derived.
   static EmpiricalDistribution from_sorted(std::vector<double> sorted,
                                            double mean, double m2) {
     EmpiricalDistribution d;

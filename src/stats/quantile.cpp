@@ -11,11 +11,17 @@ double quantile_sorted(const std::vector<double>& sorted, double q) {
   require(!sorted.empty(), "quantile of empty sample");
   require(q >= 0.0 && q <= 1.0, "quantile q outside [0,1]");
   if (sorted.size() == 1) return sorted.front();
-  const double pos = q * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(std::floor(pos));
-  const auto hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
+  const QuantileRanks r = quantile_ranks(sorted.size(), q);
+  return sorted[r.lo] + r.frac * (sorted[r.hi] - sorted[r.lo]);
+}
+
+QuantileRanks quantile_ranks(std::size_t n, double q) {
+  const double pos = q * static_cast<double>(n - 1);
+  QuantileRanks r;
+  r.lo = static_cast<std::size_t>(std::floor(pos));
+  r.hi = std::min(r.lo + 1, n - 1);
+  r.frac = pos - static_cast<double>(r.lo);
+  return r;
 }
 
 double quantile(std::vector<double> samples, double q) {

@@ -15,6 +15,15 @@ namespace janus {
 /// `q` in [0, 1].  Throws on empty input or q outside [0, 1].
 double quantile_sorted(const std::vector<double>& sorted, double q);
 
+/// The ranks quantile_sorted reads on n >= 2 sorted samples s, and the
+/// weight between them: the q-quantile is s[lo] + frac * (s[hi] - s[lo]).
+struct QuantileRanks {
+  std::size_t lo = 0;
+  std::size_t hi = 0;
+  double frac = 0.0;
+};
+QuantileRanks quantile_ranks(std::size_t n, double q);
+
 /// Copies + sorts, then delegates to quantile_sorted.
 double quantile(std::vector<double> samples, double q);
 

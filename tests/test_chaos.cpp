@@ -274,7 +274,8 @@ void expect_chaos_runs_identical(const FleetResult& one,
     EXPECT_DOUBLE_EQ(one.tenants[t].violation_rate,
                      many.tenants[t].violation_rate);
   }
-  EXPECT_EQ(one.fleet_e2e.sorted_samples(), many.fleet_e2e.sorted_samples());
+  EXPECT_EQ(one.fleet_e2e().sorted_samples(),
+            many.fleet_e2e().sorted_samples());
   EXPECT_DOUBLE_EQ(one.fleet_p99, many.fleet_p99);
   EXPECT_DOUBLE_EQ(one.fleet_violation_rate, many.fleet_violation_rate);
   // The chaos columns of the epoch log are part of the bit-identical set.
@@ -412,12 +413,13 @@ TEST(ChaosFleet, DisabledLeavesResultCalm) {
   FleetConfig untouched = chaos_fleet(2);
   untouched.chaos = ChaosConfig{};
   const FleetResult base = run_fleet(untouched);
-  EXPECT_EQ(calm.fleet_e2e.sorted_samples(), base.fleet_e2e.sorted_samples());
+  EXPECT_EQ(calm.fleet_e2e().sorted_samples(),
+            base.fleet_e2e().sorted_samples());
   EXPECT_DOUBLE_EQ(calm.fleet_p99, base.fleet_p99);
   // Chaos changed the metrics (otherwise the whole engine is a no-op).
   const FleetResult stormy = run_fleet(chaos_fleet(2));
-  EXPECT_NE(calm.fleet_e2e.sorted_samples(),
-            stormy.fleet_e2e.sorted_samples());
+  EXPECT_NE(calm.fleet_e2e().sorted_samples(),
+            stormy.fleet_e2e().sorted_samples());
   // The calm epoch log records calm chaos columns.
   for (const EpochSnapshot& snap : calm.epoch_log) {
     EXPECT_EQ(snap.chaos.failed_nodes, 0);

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -762,7 +763,8 @@ TEST(Fleet, BitIdenticalAcrossShardCounts) {
       EXPECT_DOUBLE_EQ(one.tenants[t].mean_cpu_mc,
                        many.tenants[t].mean_cpu_mc);
     }
-    EXPECT_EQ(one.fleet_e2e.sorted_samples(), many.fleet_e2e.sorted_samples());
+    EXPECT_EQ(one.fleet_e2e().sorted_samples(),
+              many.fleet_e2e().sorted_samples());
     EXPECT_DOUBLE_EQ(one.fleet_p99, many.fleet_p99);
     EXPECT_DOUBLE_EQ(one.fleet_violation_rate, many.fleet_violation_rate);
     EXPECT_DOUBLE_EQ(one.fleet_mean_cpu_mc, many.fleet_mean_cpu_mc);
@@ -776,7 +778,7 @@ TEST(Fleet, AggregatesAcrossTenants) {
   const FleetResult result = run_fleet(small_fleet(2));
   ASSERT_EQ(result.tenants.size(), 5u);
   EXPECT_EQ(result.total_requests, 5u * 150u);
-  EXPECT_EQ(result.fleet_e2e.size(), result.total_requests);
+  EXPECT_EQ(result.fleet_e2e().size(), result.total_requests);
   EXPECT_EQ(result.fleet_hist.total(), result.total_requests);
   std::size_t expected_violations = 0;
   for (const auto& tr : result.tenants) {
@@ -791,8 +793,8 @@ TEST(Fleet, AggregatesAcrossTenants) {
               1e-9);
   // The merged distribution brackets every tenant's percentiles.
   for (const auto& tr : result.tenants) {
-    EXPECT_GE(result.fleet_e2e.max(), tr.e2e.max());
-    EXPECT_LE(result.fleet_e2e.min(), tr.e2e.min());
+    EXPECT_GE(result.fleet_e2e().max(), tr.e2e.max());
+    EXPECT_LE(result.fleet_e2e().min(), tr.e2e.min());
   }
 }
 
@@ -868,7 +870,8 @@ TEST(Fleet, EpochFeedbackBitIdenticalAcrossShards) {
       EXPECT_DOUBLE_EQ(one.tenants[t].coresidency,
                        many.tenants[t].coresidency);
     }
-    EXPECT_EQ(one.fleet_e2e.sorted_samples(), many.fleet_e2e.sorted_samples());
+    EXPECT_EQ(one.fleet_e2e().sorted_samples(),
+              many.fleet_e2e().sorted_samples());
     EXPECT_DOUBLE_EQ(one.fleet_p99, many.fleet_p99);
     EXPECT_DOUBLE_EQ(one.fleet_violation_rate, many.fleet_violation_rate);
     // The merged epoch state is a pure function of (epoch, seed, tenants):
@@ -969,7 +972,8 @@ TEST(Fleet, EpochFeedbackShiftsInterferenceDraws) {
   live.epoch_s = 5.0;
   const FleetResult fed = run_fleet(live);
   ASSERT_GT(fed.epochs, 0);
-  EXPECT_NE(frozen.fleet_e2e.sorted_samples(), fed.fleet_e2e.sorted_samples());
+  EXPECT_NE(frozen.fleet_e2e().sorted_samples(),
+            fed.fleet_e2e().sorted_samples());
   // Same request count either way: the control plane reshapes latency,
   // never loses traffic.
   EXPECT_EQ(frozen.total_requests, fed.total_requests);
@@ -1013,7 +1017,7 @@ TEST(Fleet, TraceTenantsReplayThroughTheFleet) {
   // Shard-count invariance holds for replayed traces too.
   config.shards = 3;
   const FleetResult b = run_fleet(config);
-  EXPECT_EQ(a.fleet_e2e.sorted_samples(), b.fleet_e2e.sorted_samples());
+  EXPECT_EQ(a.fleet_e2e().sorted_samples(), b.fleet_e2e().sorted_samples());
 }
 
 TEST(Fleet, TenantMixIsHeterogeneous) {
@@ -1098,7 +1102,8 @@ TEST(FleetPolicies, MixBitIdenticalAcrossShardCountsAndReruns) {
   const FleetResult one = run_fleet(policy_mix_fleet(1));
   ASSERT_GT(one.epochs, 1);  // the live control plane actually ran
   const FleetResult again = run_fleet(policy_mix_fleet(1));
-  EXPECT_EQ(one.fleet_e2e.sorted_samples(), again.fleet_e2e.sorted_samples());
+  EXPECT_EQ(one.fleet_e2e().sorted_samples(),
+            again.fleet_e2e().sorted_samples());
   for (int shards : {2, 4, 8}) {
     const FleetResult many = run_fleet(policy_mix_fleet(shards));
     ASSERT_EQ(many.tenants.size(), one.tenants.size());
@@ -1111,7 +1116,8 @@ TEST(FleetPolicies, MixBitIdenticalAcrossShardCountsAndReruns) {
       EXPECT_DOUBLE_EQ(one.tenants[t].violation_rate,
                        many.tenants[t].violation_rate);
     }
-    EXPECT_EQ(one.fleet_e2e.sorted_samples(), many.fleet_e2e.sorted_samples());
+    EXPECT_EQ(one.fleet_e2e().sorted_samples(),
+              many.fleet_e2e().sorted_samples());
     EXPECT_DOUBLE_EQ(one.fleet_p99, many.fleet_p99);
     // The epoch audit trail is part of the bit-identical set.
     ASSERT_EQ(one.epoch_log.size(), many.epoch_log.size());
@@ -1235,7 +1241,8 @@ void expect_fleet_equal(const FleetResult& one, const FleetResult& many) {
     EXPECT_DOUBLE_EQ(one.tenants[t].mean_cpu_mc, many.tenants[t].mean_cpu_mc);
     EXPECT_DOUBLE_EQ(one.tenants[t].coresidency, many.tenants[t].coresidency);
   }
-  EXPECT_EQ(one.fleet_e2e.sorted_samples(), many.fleet_e2e.sorted_samples());
+  EXPECT_EQ(one.fleet_e2e().sorted_samples(),
+            many.fleet_e2e().sorted_samples());
   EXPECT_DOUBLE_EQ(one.fleet_p99, many.fleet_p99);
   EXPECT_DOUBLE_EQ(one.fleet_violation_rate, many.fleet_violation_rate);
   EXPECT_DOUBLE_EQ(one.fleet_mean_cpu_mc, many.fleet_mean_cpu_mc);
@@ -1331,7 +1338,7 @@ TEST(Fleet, StreamingMergeKeepsScalarMetricsBitIdentical) {
       const FleetResult lean = run_fleet(config);
       EXPECT_TRUE(lean.streamed);
       EXPECT_TRUE(lean.tenants.empty());
-      EXPECT_EQ(lean.fleet_e2e.size(), 0u);
+      EXPECT_EQ(lean.fleet_e2e().size(), 0u);
       EXPECT_EQ(lean.total_requests, dense.total_requests);
       EXPECT_EQ(lean.fleet_violation_rate, dense.fleet_violation_rate);
       EXPECT_EQ(lean.fleet_mean_cpu_mc, dense.fleet_mean_cpu_mc);
@@ -1721,6 +1728,59 @@ TEST(Fleet, GoldenResultsPinned) {
     {
       SCOPED_TRACE("static");
       expect_golden(run_fleet(fixed), fixed_want);
+    }
+  }
+}
+
+TEST(Fleet, FleetPercentileIsExact) {
+  // The dense fleet percentiles are selected across the tenant rows; they
+  // must equal the merged distribution's bit for bit, on the static and the
+  // live path, at any shard count.  A streamed run reads the histogram.
+  PolicyCatalog catalog(tiny_catalog_config());
+  FleetConfig fixed;
+  fixed.tenants = make_tenant_mix(6, 400, 8.0, ArrivalKind::Poisson,
+                                  /*mixed_kinds=*/true,
+                                  {"janus", "orion", "fixed"});
+  fixed.seed = 2026;
+  fixed.catalog = &catalog;
+  FleetConfig live = fixed;
+  for (TenantSpec& tenant : live.tenants) tenant.contention_alpha = 0.25;
+  live.epoch_s = 15.0;
+  live.autoscale.enabled = true;
+  live.chaos = chaos_config_from_spec("all");
+
+  std::vector<double> ps = {0.0, 0.1, 1.0, 50.0, 99.0, 99.9, 100.0};
+  Rng rng(5);
+  for (int i = 0; i < 5; ++i) ps.push_back(rng.uniform() * 100.0);
+  const auto same_bits = [](double a, double b) {
+    return std::memcmp(&a, &b, sizeof a) == 0;
+  };
+  for (FleetConfig* config : {&fixed, &live}) {
+    for (int shards : {1, 3}) {
+      SCOPED_TRACE(::testing::Message()
+                   << (config == &live ? "live" : "static") << ", " << shards
+                   << " shards");
+      config->shards = shards;
+      config->stream_metrics = false;
+      const FleetResult dense = run_fleet(*config);
+      const EmpiricalDistribution merged = dense.fleet_e2e();
+      ASSERT_EQ(merged.size(), dense.total_requests);
+      for (const double p : ps) {
+        EXPECT_TRUE(same_bits(dense.fleet_percentile(p), merged.percentile(p)))
+            << "p=" << p;
+      }
+      EXPECT_TRUE(same_bits(dense.fleet_p50, merged.percentile(50.0)));
+      EXPECT_TRUE(same_bits(dense.fleet_p99, merged.percentile(99.0)));
+
+      config->stream_metrics = true;
+      const FleetResult lean = run_fleet(*config);
+      ASSERT_TRUE(lean.streamed);
+      for (const double p : ps) {
+        EXPECT_TRUE(
+            same_bits(lean.fleet_percentile(p), lean.fleet_hist.percentile(p)))
+            << "p=" << p;
+      }
+      EXPECT_TRUE(same_bits(lean.fleet_p99, lean.fleet_hist.percentile(99.0)));
     }
   }
 }

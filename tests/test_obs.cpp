@@ -230,8 +230,8 @@ TEST(ObsDeterminism, RecordingDoesNotPerturbMetrics) {
   off.obs = ObsConfig{};  // everything disabled
   const FleetResult plain = run_fleet(off);
   const FleetResult traced = run_fleet(obs_fleet(2, &catalog));
-  EXPECT_EQ(plain.fleet_e2e.sorted_samples(),
-            traced.fleet_e2e.sorted_samples());
+  EXPECT_EQ(plain.fleet_e2e().sorted_samples(),
+            traced.fleet_e2e().sorted_samples());
   EXPECT_DOUBLE_EQ(plain.fleet_p99, traced.fleet_p99);
   EXPECT_DOUBLE_EQ(plain.fleet_mean_cpu_mc, traced.fleet_mean_cpu_mc);
   ASSERT_EQ(plain.epoch_log.size(), traced.epoch_log.size());
@@ -404,6 +404,29 @@ TEST(ObsJson, FleetJsonCarriesObsBlock) {
   EXPECT_NE(json.find("\"shard_events\": ["), std::string::npos);
   EXPECT_NE(json.find("\"shard_busy_seconds\": ["), std::string::npos);
   EXPECT_NE(json.find("\"name\": \"simulate\""), std::string::npos);
+  // The calendar gauge is armed only with obs: a default run did not
+  // measure peak_pending, so its JSON omits the key rather than print 0.
+  FleetConfig quiet = obs_fleet(2, &catalog);
+  quiet.obs = ObsConfig{};
+  const std::string quiet_json = run_fleet(quiet).to_json();
+  EXPECT_NE(quiet_json.find("\"obs\""), std::string::npos);
+  EXPECT_NE(quiet_json.find("\"events_executed\""), std::string::npos);
+  EXPECT_EQ(quiet_json.find("\"peak_pending\""), std::string::npos);
+}
+
+TEST(ObsJson, ArmedRunReportsPeakPending) {
+  PolicyCatalog catalog(tiny_catalog_config());
+  for (const bool live : {true, false}) {
+    SCOPED_TRACE(live ? "live" : "static");
+    FleetConfig config = obs_fleet(2, &catalog);
+    if (!live) config.epoch_s = kNoEpochs;
+    config.obs.trace = false;  // the timeline pillar alone arms the gauge
+    const FleetResult result = run_fleet(config);
+    ASSERT_GT(result.obs.peak_pending, 0u);
+    const std::string key =
+        "\"peak_pending\": " + std::to_string(result.obs.peak_pending) + ",";
+    EXPECT_NE(result.to_json().find(key), std::string::npos);
+  }
 }
 
 }  // namespace

@@ -4,6 +4,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -253,6 +256,146 @@ TEST(EmpiricalMerge, MergeAllEqualsLeftToRightFold) {
   EXPECT_TRUE(EmpiricalDistribution::merge_all({}).empty());
   const EmpiricalDistribution empty;
   EXPECT_TRUE(EmpiricalDistribution::merge_all({&empty, &empty}).empty());
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(),
+                                   a.size() * sizeof(double)) == 0);
+}
+
+/// A latency-like sample that is often a coarse grid value (so values
+/// repeat within and across parts), sometimes negative, now and then
+/// infinite.
+double mixed_sample(Rng& rng) {
+  const double u = rng.uniform();
+  if (u < 0.01) return std::numeric_limits<double>::infinity();
+  if (u < 0.02) return -std::numeric_limits<double>::infinity();
+  if (u < 0.45) return std::floor(rng.uniform() * 20.0) / 4.0 - 1.0;
+  if (u < 0.6) return -rng.lognormal(0.0, 0.7);
+  return rng.lognormal(0.0, 0.7);
+}
+
+TEST(EmpiricalMerge, PercentileOfMatchesMergeAll) {
+  Rng rng(31);
+  std::vector<double> ps = {0.0, 0.1, 1.0, 50.0, 99.0, 99.9, 100.0};
+  for (int i = 0; i < 8; ++i) ps.push_back(rng.uniform() * 100.0);
+  for (const std::size_t count :
+       {std::size_t{1}, std::size_t{2}, std::size_t{7}, std::size_t{64}}) {
+    for (int trial = 0; trial < 6; ++trial) {
+      SCOPED_TRACE(::testing::Message() << count << " parts, trial " << trial);
+      // Sizes from 0 to 2000: every shape draws its own, with empty parts,
+      // single samples and short rows (std::sort) next to radix-sorted ones.
+      std::vector<EmpiricalDistribution> parts;
+      for (std::size_t p = 0; p < count; ++p) {
+        const std::int64_t shape = rng.uniform_int(0, 4);
+        const std::int64_t n = shape == 0   ? 0
+                               : shape == 1 ? 1
+                               : shape == 2 ? rng.uniform_int(2, 40)
+                                            : rng.uniform_int(0, 2000);
+        std::vector<double> xs;
+        for (std::int64_t j = 0; j < n; ++j) xs.push_back(mixed_sample(rng));
+        parts.push_back(xs.empty() ? EmpiricalDistribution()
+                                   : EmpiricalDistribution(std::move(xs)));
+      }
+      std::vector<const EmpiricalDistribution*> ptrs;
+      for (const EmpiricalDistribution& part : parts) ptrs.push_back(&part);
+      const EmpiricalDistribution all = EmpiricalDistribution::merge_all(ptrs);
+      if (all.empty()) {
+        EXPECT_THROW(EmpiricalDistribution::percentile_of(ptrs, 50.0),
+                     std::invalid_argument);
+        continue;
+      }
+      for (const double p : ps) {
+        const double want = all.percentile(p);
+        const double got = EmpiricalDistribution::percentile_of(ptrs, p);
+        EXPECT_TRUE(same_bits(got, want))
+            << "p=" << p << ": got " << got << ", want " << want;
+      }
+    }
+  }
+  // N = 0, and p outside [0, 100], throw as percentile() does.
+  const EmpiricalDistribution empty;
+  EXPECT_THROW(EmpiricalDistribution::percentile_of({}, 50.0),
+               std::invalid_argument);
+  EXPECT_THROW(EmpiricalDistribution::percentile_of({&empty, &empty}, 50.0),
+               std::invalid_argument);
+  const EmpiricalDistribution one({2.0});
+  EXPECT_THROW(EmpiricalDistribution::percentile_of({&one}, 100.5),
+               std::invalid_argument);
+  // A single infinite sample: the single-sample shortcut, not inf - inf.
+  const EmpiricalDistribution inf({std::numeric_limits<double>::infinity()});
+  EXPECT_EQ(EmpiricalDistribution::percentile_of({&empty, &inf}, 50.0),
+            std::numeric_limits<double>::infinity());
+}
+
+TEST(Empirical, RadixSortMatchesStdSort) {
+  Rng rng(41);
+  const double denorm = std::numeric_limits<double>::denorm_min();
+  for (const std::size_t n :
+       {std::size_t{1}, std::size_t{127}, std::size_t{128}, std::size_t{129},
+        std::size_t{5000}, std::size_t{150000}}) {
+    // Mixed data, and data whose high key digits are constant (positive
+    // values in [1, 2) share sign and exponent), so the sort skips passes.
+    for (const bool narrow : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << n << (narrow ? " narrow" : ""));
+      std::vector<double> xs;
+      for (std::size_t i = 0; i < n; ++i) {
+        double x = narrow ? 1.0 + std::floor(rng.uniform() * 4096.0) / 4096.0
+                          : mixed_sample(rng);
+        if (!narrow && i % 97 == 5) x = (i % 2 == 0 ? 3.0 : -3.0) * denorm;
+        if (!narrow && i % 89 == 7) x = 0.0;
+        xs.push_back(x);
+      }
+      std::vector<double> want = xs;
+      std::sort(want.begin(), want.end());
+      // The reference moments: Welford over std::sort's order.
+      double mean = 0.0, m2 = 0.0;
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        const double d = want[i] - mean;
+        mean += d / static_cast<double>(i + 1);
+        m2 += d * (want[i] - mean);
+      }
+      const EmpiricalDistribution ref =
+          EmpiricalDistribution::from_sorted(want, mean, m2);
+      const EmpiricalDistribution got(std::move(xs));
+      EXPECT_TRUE(same_bits(got.sorted_samples(), want));
+      EXPECT_TRUE(same_bits(got.mean(), ref.mean()));
+      EXPECT_TRUE(same_bits(got.stddev(), ref.stddev()));
+    }
+  }
+  // n = 0 is rejected, as before.
+  EXPECT_THROW(EmpiricalDistribution(std::vector<double>{}),
+               std::invalid_argument);
+  // Signed zeros, which std::sort leaves in either order: -0.0 first.
+  for (const std::size_t n : {std::size_t{4}, std::size_t{600}}) {
+    std::vector<double> zeros;
+    for (std::size_t i = 0; i < n; ++i) {
+      zeros.push_back(i % 2 == 0 ? 0.0 : -0.0);
+    }
+    const EmpiricalDistribution d(std::move(zeros));
+    EXPECT_TRUE(std::signbit(d.sorted_samples().front()));
+    EXPECT_TRUE(std::signbit(d.sorted_samples()[n / 2 - 1]));
+    EXPECT_FALSE(std::signbit(d.sorted_samples()[n / 2]));
+  }
+}
+
+TEST(Empirical, RejectsNaNSamples) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  // Short rows (std::sort) and long ones (radix), NaN first, inside, last.
+  for (const std::size_t n : {std::size_t{1}, std::size_t{3},
+                              std::size_t{700}}) {
+    for (const std::size_t at : {std::size_t{0}, n / 2, n - 1}) {
+      std::vector<double> xs(n, 1.5);
+      xs[at] = at % 2 == 0 ? nan : -nan;
+      EXPECT_THROW(EmpiricalDistribution(std::move(xs)), std::invalid_argument)
+          << n << " samples, NaN at " << at;
+    }
+  }
 }
 
 // ------------------------------------------------------------ histogram --

@@ -13,7 +13,8 @@
 // `serve` and `fleet` accept `--seed N` and `--json` so runs are
 // scriptable: a fixed seed reproduces every simulation metric bit-for-bit
 // (in the fleet JSON only wall_seconds and the obs phases,
-// plan_wait_seconds and peak_pending are machine-dependent) and --json
+// plan_wait_seconds and peak_pending, printed only when an obs pillar is
+// on, are machine-dependent) and --json
 // swaps the human tables for one machine-readable object on stdout.
 //
 // Everything runs against the built-in workload catalog; CSV files use the
