@@ -2,10 +2,11 @@
 // shard-parallel fleet path.
 //
 // Per-tenant request records live in arena-backed SoA storage, completed
-// tenants fold into their shard's accumulator and release their state
-// immediately (stream_metrics), and on this static path each shard runs
-// its tenants one at a time, reset()ing one recycled calendar between
-// them.  Three contracts are asserted here:
+// tenants fold into their shard's accumulator and release their log and
+// policy immediately (stream_metrics), and on this static path each shard
+// runs its tenants one at a time, reset()ing one recycled calendar,
+// Platform and serve state between them.  Three contracts are asserted
+// here:
 //
 //   * completion — the full tenant count is served (default 100,000;
 //     JANUS_HUGE_TENANTS overrides, which is how ci/verify.sh runs a
@@ -15,8 +16,9 @@
 //     between the 1-shard run and every multi-shard run;
 //   * bounded memory — peak RSS of the full-scale streamed run stays
 //     well below linear scaling from a 1/8-scale run of the same shape
-//     (the streaming fold releases request logs, platforms, and policies
-//     as tenants complete, so resident state tracks *active* tenants).
+//     (the streaming fold releases each tenant's request log and policy
+//     as it completes, and each shard keeps one Platform and serve state
+//     for all its tenants, so resident state tracks *active* tenants).
 //
 // Emitted via bench_main as BENCH_fleet_huge.json; events/sec and the RSS
 // figures land in the bench stdout, peak_rss_kb in the artifact envelope.

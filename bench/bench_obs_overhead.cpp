@@ -9,7 +9,14 @@
 //               artifact job runs)
 //   full      — 1:1 spans + timeline (worst case)
 //
-// Wall times are best-of-3 run_fleet clocks.  The contract (ISSUE PR 7):
+// The modes run in kRounds rounds, all four per round, in forward order
+// on even rounds and reversed on odd ones.  A mode's overhead is the
+// median, over rounds, of its wall over off's wall in the same round, so
+// each ratio compares runs made back to back under the same host state;
+// the wall column is each mode's median run_fleet clock.  One run takes
+// ~0.04 s and single runs scatter by ±20% on a shared 4-vCPU VM, which
+// made a best-of-3 (or even an alternating best-of-16) comparison of two
+// modes' minima fail the 10% gate on noise alone.  The contract:
 // observability off/armed must stay within noise of baseline — the bench
 // hard-fails only above 10% armed overhead (CI machines are noisy; the
 // committed baseline documents the real figure, ~0%), and warns above the
@@ -32,7 +39,7 @@ namespace {
 
 constexpr int kTenants = 8;
 constexpr int kRequestsPerTenant = 8000;  // 64k total
-constexpr int kRepeats = 3;
+constexpr int kRounds = 16;
 constexpr std::size_t kRingCapacity = 1024;
 
 FleetConfig base_config() {
@@ -53,20 +60,23 @@ struct Mode {
 };
 
 struct Measured {
-  FleetResult result;   // last run (metrics identical across repeats)
-  double best_wall = 0.0;
+  FleetResult result;         // last run (metrics identical across rounds)
+  std::vector<double> walls;  // one run_fleet clock per round
 };
 
-Measured run_mode(const Mode& mode) {
-  Measured m;
-  m.best_wall = 1e300;
-  for (int rep = 0; rep < kRepeats; ++rep) {
-    FleetConfig config = base_config();
-    config.obs = mode.obs;
-    m.result = run_fleet(config);
-    m.best_wall = std::min(m.best_wall, m.result.wall_seconds);
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t mid = v.size() / 2;
+  return v.size() % 2 == 1 ? v[mid] : 0.5 * (v[mid - 1] + v[mid]);
+}
+
+/// Median over rounds of mode `m`'s wall over off's in the same round.
+double median_ratio(const Measured& m, const Measured& off) {
+  std::vector<double> ratios;
+  for (std::size_t r = 0; r < m.walls.size(); ++r) {
+    ratios.push_back(m.walls[r] / off.walls[r]);
   }
-  return m;
+  return median(std::move(ratios));
 }
 
 bool metrics_identical(const FleetResult& a, const FleetResult& b) {
@@ -83,12 +93,12 @@ int main() {
   std::printf("%s", banner("Observability overhead: " +
                            std::to_string(kTenants) + " tenants x " +
                            std::to_string(kRequestsPerTenant) +
-                           " requests, live control plane, best of " +
-                           std::to_string(kRepeats))
+                           " requests, live control plane, median of " +
+                           std::to_string(kRounds) + " rounds")
                         .c_str());
 
-  // Warm up allocator/code paths so "off" (measured first) is not charged
-  // for first-touch effects.
+  // Warm up allocator/code paths so "off" (measured first in round 0) is
+  // not charged for first-touch effects.
   {
     FleetConfig warm = base_config();
     for (auto& t : warm.tenants) t.requests = 200;
@@ -121,19 +131,26 @@ int main() {
     modes.push_back({"full", full});
   }
 
-  std::vector<Measured> measured;
-  for (const Mode& mode : modes) measured.push_back(run_mode(mode));
-  const double wall_off = measured[0].best_wall;
+  std::vector<Measured> measured(modes.size());
+  for (int round = 0; round < kRounds; ++round) {
+    for (std::size_t k = 0; k < modes.size(); ++k) {
+      const std::size_t i = round % 2 == 0 ? k : modes.size() - 1 - k;
+      FleetConfig config = base_config();
+      config.obs = modes[i].obs;
+      measured[i].result = run_fleet(config);
+      measured[i].walls.push_back(measured[i].result.wall_seconds);
+    }
+  }
+  const double wall_off = median(measured[0].walls);
 
   bool perturbed = false;
   std::vector<std::vector<std::string>> rows;
   for (std::size_t i = 0; i < modes.size(); ++i) {
     const Measured& m = measured[i];
-    const double overhead =
-        wall_off > 0.0 ? 100.0 * (m.best_wall / wall_off - 1.0) : 0.0;
+    const double overhead = 100.0 * (median_ratio(m, measured[0]) - 1.0);
     const bool match = metrics_identical(measured[0].result, m.result);
     perturbed = perturbed || !match;
-    rows.push_back({modes[i].name, fmt(m.best_wall, 3),
+    rows.push_back({modes[i].name, fmt(median(m.walls), 3),
                     fmt(overhead, 2) + "%",
                     std::to_string(m.result.obs.counters.spans_recorded),
                     std::to_string(m.result.obs.spans.size()),
@@ -157,8 +174,7 @@ int main() {
       retained <= kTenants * kRingCapacity &&
       full.obs.counters.spans_recorded > 0;
 
-  const double armed_overhead =
-      wall_off > 0.0 ? measured[1].best_wall / wall_off - 1.0 : 0.0;
+  const double armed_overhead = median_ratio(measured[1], measured[0]) - 1.0;
   std::printf("wall_off_s: %.3f\n", wall_off);
   std::printf("armed_overhead_pct: %.2f\n", 100.0 * armed_overhead);
   std::printf("metrics_identical_across_modes: %s\n",

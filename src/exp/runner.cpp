@@ -45,30 +45,40 @@ struct DrawContext {
   InterferenceModel interference;
   Rng rng{0};
 
-  static DrawContext make(const std::vector<FunctionModel>& models,
-                          const RunConfig& config) {
-    DrawContext ctx;
-    ctx.models = &models;
+  /// (Re)starts the stream for `config` over `chain`.  The co-location
+  /// weights are copy-assigned into the vectors this context already
+  /// holds, so a recycled context (serve_workload's, reused across a
+  /// shard's tenants) refills them without allocating.
+  void init(const std::vector<FunctionModel>& chain, const RunConfig& config) {
     require(config.colocation_provider == nullptr ||
-                config.colocation_provider->stages() == models.size(),
+                config.colocation_provider->stages() == chain.size(),
             "co-location provider needs one distribution per chain stage");
-    ctx.coloc =
-        config.colocation_is_default
-            ? CoLocationDistribution::for_concurrency(config.concurrency)
-            : config.colocation;
+    models = &chain;
+    if (config.colocation_is_default) {
+      coloc = CoLocationDistribution::for_concurrency(config.concurrency);
+    } else {
+      coloc = config.colocation;
+    }
     // Snapshot the provider's distributions once: the draw stream must be
     // consumed identically on every run (paired requests), even when a
     // live provider shifts under it mid-run.
     if (config.colocation_provider != nullptr) {
-      ctx.per_stage.reserve(models.size());
-      for (std::size_t s = 0; s < models.size(); ++s) {
-        ctx.per_stage.push_back(
-            config.colocation_provider->stage_distribution(s));
+      per_stage.resize(chain.size());
+      for (std::size_t s = 0; s < chain.size(); ++s) {
+        per_stage[s] = config.colocation_provider->stage_distribution(s);
       }
+    } else {
+      per_stage.clear();
     }
-    ctx.concurrency = config.concurrency;
-    ctx.interference = config.interference;
-    ctx.rng = Rng(config.seed).split(0x5eedULL);
+    concurrency = config.concurrency;
+    interference = config.interference;
+    rng = Rng(config.seed).split(0x5eedULL);
+  }
+
+  static DrawContext make(const std::vector<FunctionModel>& chain,
+                          const RunConfig& config) {
+    DrawContext ctx;
+    ctx.init(chain, config);
     return ctx;
   }
 
@@ -126,6 +136,7 @@ struct InFlight {
 struct ServeState {
   DrawContext draws;              // lazy stream; consumed in index order
   std::size_t total_requests = 0;
+  std::size_t completed = 0;      // requests of this run in the log
   Platform* platform = nullptr;
   SizingPolicy* policy = nullptr;
   RunResult* out = nullptr;
@@ -163,6 +174,11 @@ struct ServeState {
   TraceRing* trace_ring = nullptr;
   std::size_t trace_sample_every = 1;
   std::uint32_t trace_tenant = 0;
+
+  /// Every request of the run has completed: no slot is in use and no
+  /// event of the run is left on the calendar.  A state that never served
+  /// is drained too.
+  bool drained() const noexcept { return completed == total_requests; }
 };
 
 /// Fixed-width span from one completed stage invocation.  The span start
@@ -190,16 +206,20 @@ void record_span(const ServeState& st, const InFlight& req,
   st.trace_ring->record(span);
 }
 
-/// Cold path: adds one slab slot, pre-sized for the chain so its draw and
-/// record vectors never grow once it is in use, and frees it.
-void grow_slab(ServeState& st) {
-  InFlight& fresh = st.slots.emplace_back();
-  fresh.draw.ws.reserve(st.stages);
-  fresh.draw.interference.reserve(st.stages);
+/// Sizes a slot's draw and record vectors for the run's chain, so they
+/// never grow once the slot is in use.
+void reserve_slot(const ServeState& st, InFlight& slot) {
+  slot.draw.ws.reserve(st.stages);
+  slot.draw.interference.reserve(st.stages);
   if (st.record_detail) {
-    fresh.record.sizes.reserve(st.stages);
-    fresh.record.stage_total.reserve(st.stages);
+    slot.record.sizes.reserve(st.stages);
+    slot.record.stage_total.reserve(st.stages);
   }
+}
+
+/// Cold path: adds one slab slot, pre-sized for the chain, and frees it.
+void grow_slab(ServeState& st) {
+  reserve_slot(st, st.slots.emplace_back());
   st.free_slots.reserve(st.slots.capacity());
   st.free_slots.push_back(static_cast<std::uint32_t>(st.slots.size() - 1));
 }
@@ -242,8 +262,8 @@ JANUS_HOT void complete_stage(ServeState& st, std::uint32_t slot,
   req.elapsed += outcome.total();
   req.record.cpu_mc += static_cast<double>(size);
   if (st.record_detail) {
-    // janus-lint: allow(hot-path-growth) reserved to the chain length in
-    // grow_slab and cleared, never shrunk, when the slot is reused.
+    // janus-lint: allow(hot-path-growth) reserved to the chain length by
+    // reserve_slot and cleared, never shrunk, when the slot is reused.
     req.record.sizes.push_back(size);
     // janus-lint: allow(hot-path-growth) same retained capacity as sizes.
     req.record.stage_total.push_back(outcome.total());
@@ -258,6 +278,7 @@ JANUS_HOT void complete_stage(ServeState& st, std::uint32_t slot,
   // janus-lint: allow(hot-path-growth) serve_workload reserved the log
   // for every request of the run, so the append fills retained capacity.
   st.out->requests.push_back(req.record);
+  ++st.completed;
   // janus-lint: allow(hot-path-growth) grow_slab keeps the free list's
   // capacity at the slab's, and it never holds more than every slot.
   st.free_slots.push_back(slot);
@@ -311,16 +332,55 @@ void serve_workload(SimEngine& engine, Platform& platform,
                     const RunConfig& config, RunResult& out) {
   require(config.slo > 0.0, "SLO must be > 0");
   require(config.requests > 0, "run needs >= 1 request");
+  require(&platform.engine() == &engine,
+          "platform must wrap the engine serve_workload schedules on");
   require(workload.workflow.is_chain() &&
               platform.function_count() == workload.workflow.size(),
           "platform must host exactly the workload's chain functions");
-  require(out.serve_state == nullptr,
-          "result already holds a serve_workload run");
-  auto state = std::make_shared<ServeState>();
+  // Chain order, walked in place (chain_order() would allocate per tenant):
+  // the chain's single source, then each node's single successor.
+  FunctionId id = 0;
+  while (!workload.workflow.predecessors(id).empty()) ++id;
+  for (const FunctionModel& hosted : platform.functions()) {
+    require(hosted.name() == workload.model_of(id).name(),
+            "platform functions do not match the workload's chain, in order");
+    const auto& next = workload.workflow.successors(id);
+    if (!next.empty()) id = next.front();
+  }
+
+  require(config.trace_ring == nullptr || config.trace_sample_every >= 1,
+          "trace sampling stride must be >= 1");
+  std::unique_ptr<ArrivalProcess> process;
+  if (config.open_loop_rate > 0.0) {
+    // Open loop: pluggable arrival process; requests overlap on the
+    // platform.  The base rate stays the legacy open_loop_rate knob; the
+    // MMPP burst rate scales with it so the spec's burst/base ratio — the
+    // process's *shape* — survives the override.
+    ArrivalSpec spec = config.arrivals;
+    if (spec.rate > 0.0) {
+      spec.burst_rate *= config.open_loop_rate / spec.rate;
+    }
+    spec.rate = config.open_loop_rate;
+    process = make_arrivals(spec);
+  }
+  out.requests.configure(platform.function_count(),
+                         config.record_stage_detail);
+  out.requests.reserve(out.requests.size() +
+                       static_cast<std::size_t>(config.requests));
+
+  auto* state = static_cast<ServeState*>(out.serve_state.get());
+  if (state == nullptr) {
+    auto fresh = std::make_shared<ServeState>();
+    state = fresh.get();
+    out.serve_state = std::move(fresh);
+  }
   ServeState& st = *state;
-  out.serve_state = std::move(state);
-  st.draws = DrawContext::make(platform.functions(), config);
+  require(st.drained(), "result's serve state still has requests in flight");
+  // Every per-run field is set below; the slab (`slots`, `free_slots`, all
+  // free) and the draw context's vectors keep their capacity.
+  st.draws.init(platform.functions(), config);
   st.total_requests = static_cast<std::size_t>(config.requests);
+  st.completed = 0;
   st.platform = &platform;
   st.policy = &policy;
   st.out = &out;
@@ -329,9 +389,25 @@ void serve_workload(SimEngine& engine, Platform& platform,
   st.concurrency = config.concurrency;
   st.endogenous_interference = config.endogenous_interference;
   st.record_detail = config.record_stage_detail;
+  st.closed_loop = false;
+  st.next_request = 0;
+  // A reused slot sized for a shorter chain, or without detail, is re-sized
+  // here rather than on the request path.
+  for (InFlight& slot : st.slots) reserve_slot(st, slot);
+  st.engine = &engine;
+  st.process = std::move(process);
+  st.arrivals_rng = st.process != nullptr
+                        ? Rng(config.seed).split(0xa11aULL)
+                        : Rng(0);
+  st.arrival_time = engine.now();
+  st.next_arrival = 0;
+  st.live_feed = nullptr;
+  st.live_rng_base = Rng(0);
+  st.interference = InterferenceModel{};
+  st.trace_ring = nullptr;
+  st.trace_sample_every = 1;
+  st.trace_tenant = 0;
   if (config.trace_ring != nullptr) {
-    require(config.trace_sample_every >= 1,
-            "trace sampling stride must be >= 1");
     st.trace_ring = config.trace_ring;
     st.trace_sample_every =
         static_cast<std::size_t>(config.trace_sample_every);
@@ -346,23 +422,8 @@ void serve_workload(SimEngine& engine, Platform& platform,
 
   out.policy_name = policy.name();
   out.slo = config.slo;
-  out.requests.configure(st.stages, config.record_stage_detail);
-  out.requests.reserve(out.requests.size() + st.total_requests);
 
-  if (config.open_loop_rate > 0.0) {
-    // Open loop: pluggable arrival process; requests overlap on the
-    // platform.  The base rate stays the legacy open_loop_rate knob; the
-    // MMPP burst rate scales with it so the spec's burst/base ratio — the
-    // process's *shape* — survives the override.
-    ArrivalSpec spec = config.arrivals;
-    if (spec.rate > 0.0) {
-      spec.burst_rate *= config.open_loop_rate / spec.rate;
-    }
-    spec.rate = config.open_loop_rate;
-    st.engine = &engine;
-    st.process = make_arrivals(spec);
-    st.arrivals_rng = Rng(config.seed).split(0xa11aULL);
-    st.arrival_time = engine.now();
+  if (st.process != nullptr) {
     schedule_next_arrival(st);
   } else {
     // Closed loop: one request at a time (the paper's 1000-request runs).
@@ -370,6 +431,20 @@ void serve_workload(SimEngine& engine, Platform& platform,
     st.next_request = 1;
     start_request(st, make_request(st, 0));
   }
+}
+
+void retire_serve_state(RunResult& out) {
+  auto* st = static_cast<ServeState*>(out.serve_state.get());
+  if (st == nullptr) return;
+  require(st->drained(), "serve state retired with requests in flight");
+  st->draws.models = nullptr;
+  st->platform = nullptr;
+  st->policy = nullptr;
+  st->out = nullptr;
+  st->engine = nullptr;
+  st->process.reset();
+  st->live_feed = nullptr;
+  st->trace_ring = nullptr;
 }
 
 RunResult run_workload(const WorkloadSpec& workload, SizingPolicy& policy,

@@ -90,7 +90,8 @@ struct RunResult {
   /// Request-path state of the serve_workload call filling this result
   /// (type-erased; private to exp/runner.cpp).  Its scheduled events point
   /// into it, so it lives as long as the result, or until the caller
-  /// resets it once the run has drained.
+  /// resets it once the run has drained.  A drained state is reused by the
+  /// next serve_workload call on this result, slab and all.
   std::shared_ptr<void> serve_state;
 
   EmpiricalDistribution e2e_distribution() const;
@@ -103,22 +104,40 @@ RunResult run_workload(const WorkloadSpec& workload, SizingPolicy& policy,
                        const RunConfig& config);
 
 /// Schedules one workload's full request stream onto a caller-owned engine
-/// and platform (which must wrap the same engine and host exactly the
-/// workload's chain functions, in chain order) and appends completed
-/// records to `out` while the caller runs the engine.  `platform`,
-/// `policy`, and `out` must outlive the run: the per-request state — a
-/// slab of in-flight requests, reused as requests finish — is owned by
-/// `out.serve_state`, and the scheduled closures point into it.  Once the
-/// slab has reached the run's peak in-flight count, serving a request
-/// performs no heap allocation.  Multiple tenants can serve on one engine:
-/// each call uses only its own platform/policy/rng streams, so a tenant's
-/// records are bit-identical no matter what else shares the calendar, or
-/// whether it has a calendar of its own — this is what lets the fleet run
-/// static tenants one after another on one reset() calendar per shard, and
-/// live tenants on per-tenant calendars drained one at a time.
+/// and platform and appends completed records to `out` while the caller
+/// runs the engine.  The platform must wrap `engine` and host exactly the
+/// workload's chain functions, in chain order (checked by name).
+/// `platform`, `policy`, and `out` must outlive the run: the per-request
+/// state — a slab of in-flight requests, reused as requests finish — is
+/// owned by `out.serve_state`, and the scheduled closures point into it.
+/// Once the slab has reached the run's peak in-flight count, serving a
+/// request performs no heap allocation.
+///
+/// When `out.serve_state` already holds a drained run (every request
+/// completed) the state is re-initialized in place: every per-run field is
+/// reset and the slab keeps its slots, so a result recycled across
+/// same-shaped runs (the fleet's static path, one per shard) allocates no
+/// slab slot after the first run.  A state with requests still in flight
+/// is rejected.  The log is appended to, so a caller recycling a result
+/// whose log it released gives it a fresh RequestLog first.
+///
+/// Multiple tenants can serve on one engine: each call uses only its own
+/// platform/policy/rng streams, so a tenant's records are bit-identical no
+/// matter what else shares the calendar, whether it has a calendar of its
+/// own, or whether its platform and serve state were recycled — this is
+/// what lets the fleet run static tenants one after another on one
+/// reset() calendar, Platform and serve state per shard, and live tenants
+/// on per-tenant calendars drained one at a time.
 void serve_workload(SimEngine& engine, Platform& platform,
                     const WorkloadSpec& workload, SizingPolicy& policy,
                     const RunConfig& config, RunResult& out);
+
+/// Ends a drained run on `out` while keeping its serve state for the next
+/// serve_workload call: the state forgets the run's engine, platform,
+/// policy, feed, trace ring and arrival process, so the caller may free
+/// them.  Throws while requests are in flight; a no-op on a result that
+/// never served.
+void retire_serve_state(RunResult& out);
 
 /// Pre-draws the request randomness exactly as run_workload does — shared
 /// with benches that need the draws directly (e.g. Fig 2's per-request

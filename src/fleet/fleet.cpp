@@ -227,7 +227,9 @@ struct FoldPartial {
 };
 
 /// One tenant's simulator state from build to fold.  It must not move: the
-/// obs hook and the scheduled closures point into it.
+/// obs hook and the scheduled closures point into it.  A live tenant has
+/// its own; on the static path one per shard serves each of the shard's
+/// tenants in turn, its Platform and serve state reset in place.
 struct TenantSim {
   RunResult result;
   std::unique_ptr<Platform> platform;
@@ -235,9 +237,11 @@ struct TenantSim {
   ObsCounters counters;
 };
 
-/// Builds tenant t on `engine`: its Platform, its sizing policy, and its
-/// whole request stream, scheduled by serve_workload.  The plan stores no
-/// RunConfig; it is built here, and serve_workload keeps no pointer into it.
+/// Builds tenant t on `engine`: its Platform (a recycled one is reset), its
+/// sizing policy, and its whole request stream, scheduled by serve_workload
+/// (into a recycled serve state when `sim` already served a tenant).  The
+/// plan stores no RunConfig; it is built here, and serve_workload keeps no
+/// pointer into it.
 void build_tenant(const FleetConfig& config, const FleetPlan& plan,
                   std::size_t t, SimEngine& engine, TraceRing* ring,
                   TenantSim& sim) {
@@ -269,8 +273,13 @@ void build_tenant(const FleetConfig& config, const FleetPlan& plan,
   }
   PlatformConfig pc = rc.platform;
   pc.seed = rc.seed ^ 0x9e3779b97f4a7c15ULL;
-  sim.platform = std::make_unique<Platform>(engine, pc, workload.chain,
-                                            rc.interference);
+  if (sim.platform) {
+    sim.platform->reset(pc, workload.chain, rc.interference);
+  } else {
+    sim.platform = std::make_unique<Platform>(engine, pc, workload.chain,
+                                              rc.interference);
+  }
+  sim.counters = ObsCounters{};
   if (config.obs.enabled()) sim.platform->set_obs(&sim.counters);
   // Every shard calls make_policy at once, and the catalog's maps are
   // unsynchronized.  That is safe only because pass 1's plan_sizes call
@@ -285,19 +294,22 @@ void build_tenant(const FleetConfig& config, const FleetPlan& plan,
         plan.catalog->config().kmax);
   }
   sim.policy = std::move(policy);
+  // A recycled result's log was released by the previous tenant's fold.
+  sim.result.requests = RequestLog();
   serve_workload(engine, *sim.platform, workload.spec, *sim.policy, rc,
                  sim.result);
 }
 
 /// Retires a tenant whose events have all fired: platform tallies go into
-/// its counters and the shard's requeue count; platform, policy and serve
-/// state are freed (the log stays for fold_tenant).
+/// its counters and the shard's requeue count, and its policy is freed,
+/// after its serve state has dropped the pointer to it.  The Platform and
+/// the serve state stay for the caller to recycle (static path) or free
+/// (live path); the log stays for fold_tenant.
 void retire_tenant(TenantSim& sim, FoldPartial& part) {
   sim.counters.invocations = sim.platform->invocations();
   sim.counters.cold_starts = sim.platform->cold_starts();
   part.requeued += sim.platform->requeued();
-  sim.result.serve_state.reset();
-  sim.platform.reset();
+  retire_serve_state(sim.result);
   sim.policy.reset();
 }
 
@@ -413,6 +425,9 @@ void run_live(const FleetConfig& config, FleetPlan& plan, ThreadPool& pool,
           continue;
         }
         retire_tenant(sims[i], partials[s]);
+        // A live tenant never runs again: nothing recycles its state.
+        sims[i].platform.reset();
+        sims[i].result.serve_state.reset();
         slo_cursor[i] = done;
         slo_violations[i] =
             fold_tenant(config, plan, t, sims[i], partials[s],
@@ -592,10 +607,15 @@ FleetSliceOutcome execute_slice(const FleetConfig& config, FleetPlan& plan,
     // The static path, tenant-major: each shard builds one tenant, drains
     // the calendar, retires and folds the tenant and reset()s the calendar,
     // so one tenant's Platform, serve slab and log stay cache-hot while its
-    // events fire.  Tenants share no mutable state (randomness, Platform
-    // and co-location feed are their own; a schedule_at clamp compares
-    // against the firing event's own time), so no result can depend on
-    // which tenants shared the calendar before.
+    // events fire.  The shard's calendar, Platform and serve state live
+    // across all its tenants: each tenant reset()s the Platform and
+    // re-initializes the drained serve state in place, so tenant turnover
+    // allocates only the policy, the arrival process and the log's chunks
+    // (the fold still frees each log before its row sorts).  Tenants share
+    // no mutable state (randomness, Platform state and co-location feed
+    // are their own; a schedule_at clamp compares against the firing
+    // event's own time), so no result can depend on which tenants shared
+    // the calendar, Platform or serve state before.
     //
     // Pass 2 runs on this thread while the shards run.  `packed` is the
     // watermark: tenants [0, packed) are placed.  Nothing changes a static
@@ -624,9 +644,9 @@ FleetSliceOutcome execute_slice(const FleetConfig& config, FleetPlan& plan,
     const auto run_shard = [&](std::size_t s) {
       SimEngine engine;
       if (config.obs.enabled()) engine.set_obs(&partials[s].engine_obs);
+      TenantSim sim;  // after the engine: its Platform wraps the engine
       for (std::size_t t = shard_first(s, shards, lo); t < hi; t += shards) {
         if (!wait_packed(t, partials[s])) return;
-        TenantSim sim;
         build_tenant(config, plan, t, engine,
                      rings.empty() ? nullptr : &rings[t - lo], sim);
         engine.run();

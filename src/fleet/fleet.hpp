@@ -7,8 +7,8 @@
 // regardless of the shard count.  Both paths are tenant-major: a shard
 // runs one tenant's events at a time, so that tenant's state stays
 // cache-hot.  On the static path (epoch_s = kNoEpochs) a shard runs its
-// tenants to completion one at a time on one calendar, reset() between
-// tenants.  Live runs keep every unfinished tenant resident, because each
+// tenants to completion one at a time on one calendar, Platform and serve
+// state, each reset() between tenants.  Live runs keep every unfinished tenant resident, because each
 // barrier reconciles them all; each tenant has a calendar of its own over
 // its shard's shared slot pool, and between barriers the shard drains its
 // tenants' calendars one after another up to the barrier.
@@ -104,8 +104,9 @@ struct FleetConfig {
   bool stream_metrics = false;
   std::uint64_t seed = 2026;
   ClusterConfig cluster{};
-  /// Per-tenant platform template (each tenant gets its own Platform so
-  /// shards never share mutable simulator state).
+  /// Per-tenant platform template (each tenant gets Platform state of its
+  /// own, on a Platform no other shard touches, so shards never share
+  /// mutable simulator state).
   PlatformConfig platform{};
   /// Fleet-wide latency histogram layout; every tenant uses the same
   /// layout so the histograms merge exactly.

@@ -7,29 +7,50 @@ namespace janus {
 Platform::Platform(SimEngine& engine, PlatformConfig config,
                    std::vector<FunctionModel> functions,
                    InterferenceModel interference)
-    : engine_(engine),
-      config_(config),
-      functions_(std::move(functions)),
-      interference_(interference),
-      rng_(config.seed) {
-  require(config_.nodes > 0, "platform needs >= 1 node");
-  require(!functions_.empty(), "platform needs >= 1 function");
-  nodes_.resize(static_cast<std::size_t>(config_.nodes),
+    : engine_(engine), functions_(std::move(functions)) {
+  reset(config, functions_, interference);
+}
+
+void Platform::reset(PlatformConfig config,
+                     const std::vector<FunctionModel>& functions,
+                     InterferenceModel interference) {
+  require(config.nodes > 0, "platform needs >= 1 node");
+  require(!functions.empty(), "platform needs >= 1 function");
+  require(std::none_of(pods_.begin(), pods_.end(),
+                       [](const Pod& p) { return p.busy || p.preempted; }),
+          "platform reset with an invocation in flight");
+  config_ = config;
+  if (&functions != &functions_) functions_ = functions;  // the ctor's own
+  interference_ = interference;
+  rng_ = Rng(config_.seed);
+  cold_starts_ = 0;
+  invocations_ = 0;
+  preempted_pods_ = 0;
+  requeued_ = 0;
+  queued_total_ = 0;
+  startup_mult_ = 1.0;
+  obs_ = nullptr;
+
+  const std::size_t fns = functions_.size();
+  nodes_.assign(static_cast<std::size_t>(config_.nodes),
                 Node{config_.node.capacity_mc, 0});
-  pods_per_function_.assign(functions_.size(), 0);
-  idle_.resize(functions_.size() + 1);
-  pending_.resize(functions_.size());
-  busy_per_cell_.assign(nodes_.size() * functions_.size(), 0);
-  pods_per_cell_.assign(nodes_.size() * functions_.size(), 0);
-  busy_per_function_.assign(functions_.size(), 0);
-  peak_busy_per_function_.assign(functions_.size(), 0);
+  pods_per_function_.assign(fns, 0);
+  idle_.resize(fns + 1);
+  for (auto& idle : idle_) idle.clear();
+  pending_.resize(fns);
+  for (auto& waiting : pending_) waiting.clear();
+  busy_per_cell_.assign(nodes_.size() * fns, 0);
+  pods_per_cell_.assign(nodes_.size() * fns, 0);
+  busy_per_function_.assign(fns, 0);
+  peak_busy_per_function_.assign(fns, 0);
 
   // Pre-warm the generic pool, spread round-robin across nodes (Fission's
   // PoolManager keeps a pool of generic pods that get specialized on first
   // use, which is what gives it "excellent performance against cold starts").
-  const int generic = config_.pool.prewarm_per_function *
-                      static_cast<int>(functions_.size());
+  const int generic =
+      config_.pool.prewarm_per_function * static_cast<int>(fns);
   const auto prewarmed = static_cast<std::size_t>(std::max(generic, 0));
+  pods_.clear();
   pods_.reserve(prewarmed);
   idle_[0].reserve(prewarmed);
   for (int i = 0; i < generic; ++i) {

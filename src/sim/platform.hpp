@@ -95,9 +95,27 @@ using InvokeFn =
 
 class Platform {
  public:
+  /// Builds the platform through reset(): the two leave it in the same
+  /// state.
   Platform(SimEngine& engine, PlatformConfig config,
            std::vector<FunctionModel> functions,
            InterferenceModel interference = InterferenceModel{});
+
+  /// Re-initializes the platform in place for a new run on the same
+  /// engine, exactly as the constructor would build it: the rng reseeded
+  /// from `config.seed`, every counter zeroed, the startup multiplier back
+  /// to 1, the obs hook disarmed, no queued invocation, and a fresh generic
+  /// pool in the constructor's round-robin order.  `functions` is
+  /// copy-assigned, and every container keeps its capacity, so a platform
+  /// recycled across same-shaped runs (the fleet's static path, one per
+  /// shard) allocates nothing here, and its pods and idle lists start the
+  /// run at the sizes earlier runs grew them to.  Throws while an
+  /// invocation is in flight: its completion event points at a pod.
+  void reset(PlatformConfig config, const std::vector<FunctionModel>& functions,
+             InterferenceModel interference = InterferenceModel{});
+
+  /// The engine the platform schedules its completions on.
+  SimEngine& engine() const noexcept { return engine_; }
 
   /// Number of registered functions.
   std::size_t function_count() const noexcept { return functions_.size(); }
