@@ -1,12 +1,14 @@
-// Engine microbenchmark: ladder-queue SimEngine vs the seed's binary-heap
-// calendar (std::priority_queue of std::function closures, reproduced here
-// verbatim as HeapEngine).
+// Engine microbenchmark: SimEngine churn throughput at the calendar depths
+// the fleet's workloads reach.
 //
-// The measurement is churn (hold-model) throughput: a fixed pending
+// Every calendar holds one tenant, so the depths that matter are small:
+// the deepest calendar of tenants-100k holds 10 pending events, of
+// fixed-deep 94 and of mix-live-chaos 303 (the peak_pending gauge).  The
+// measurement is churn (hold-model) throughput: a fixed pending
 // population, and every fired event schedules one successor, so each
-// measured event is exactly one dequeue plus one enqueue against a full
-// calendar.  Two arrival shapes bracket what the simulator's load
-// generators produce:
+// measured event is exactly one dequeue plus one enqueue against a
+// calendar of that depth.  Two arrival shapes bracket what the
+// simulator's load generators produce:
 //
 //   sorted — exponential holds with mean equal to the calendar span, the
 //            near-sorted insertion pattern of open-loop Poisson arrivals;
@@ -14,12 +16,9 @@
 //            imminent events with sparse far-future holds.
 //
 // Emitted via bench_main as BENCH_engine.json; the recorded baseline is
-// the repo's evidence that the ladder clears >= 2x heap throughput at
-// 100k+ pending events.
+// the repo's record of what the calendar sustains at those depths.
 #include <chrono>
 #include <cstdio>
-#include <functional>
-#include <queue>
 #include <string>
 #include <vector>
 
@@ -31,53 +30,11 @@ using namespace janus;
 
 namespace {
 
-/// The calendar SimEngine replaced (PR 3): one binary heap, one
-/// heap-allocating std::function per event.  Kept as the baseline under
-/// measurement — and as a second, load-bearing copy of the ordering
-/// contract (test_sim holds the two engines to identical execution order).
-class HeapEngine {
- public:
-  Seconds now() const noexcept { return now_; }
-  std::uint64_t executed() const noexcept { return executed_; }
-
-  void schedule_at(Seconds t, std::function<void()> fn) {
-    if (t < now_) t = now_;
-    queue_.push(Event{t, next_seq_++, std::move(fn)});
-  }
-
-  bool step() {
-    if (queue_.empty()) return false;
-    Event ev = queue_.top();
-    queue_.pop();
-    now_ = ev.time;
-    ++executed_;
-    ev.fn();
-    return true;
-  }
-
- private:
-  struct Event {
-    Seconds time;
-    std::uint64_t seq;
-    std::function<void()> fn;
-  };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const noexcept {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
-    }
-  };
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
-  Seconds now_ = 0.0;
-  std::uint64_t next_seq_ = 0;
-  std::uint64_t executed_ = 0;
-};
-
 /// Hold-time generator, shaped like the simulator's real event mix: a
-/// large backlog of pre-scheduled arrivals spans the calendar, and the
-/// churn on top is dominated by short service-time holds (completions a
-/// few time units out) with an occasional arrival-scale hold that lands
-/// deep in the calendar.  `span` is the backlog's simulated width.
+/// backlog of pre-scheduled arrivals spans the calendar, and the churn on
+/// top is dominated by short service-time holds (completions a few time
+/// units out) with an occasional arrival-scale hold that lands deep in
+/// the calendar.  `span` is the backlog's simulated width.
 ///
 /// sorted —  short holds at a fixed rate: the near-sorted insertion
 ///           pattern of open-loop Poisson arrivals plus service events;
@@ -102,17 +59,13 @@ struct Stream {
   }
 };
 
-/// Self-perpetuating churn closure; identical capture for both engines so
-/// the comparison isolates the calendar (the std::function wrapper in
-/// HeapEngine heap-allocates it — exactly what the old event path did).
-/// Hold times come from a pre-drawn ring so no libm/RNG time pollutes the
-/// measured loop; the ring is long enough (64k draws) that the burst
-/// structure survives the reuse.
+/// Self-perpetuating churn closure.  Hold times come from a pre-drawn
+/// ring so no libm/RNG time pollutes the measured loop; the ring is long
+/// enough (64k draws) that the burst structure survives the reuse.
 constexpr std::size_t kHoldRing = 1u << 16;
 
-template <typename Engine>
 struct Fire {
-  Engine* engine;
+  SimEngine* engine;
   const double* holds;  // kHoldRing entries
   std::size_t* cursor;
 
@@ -122,10 +75,9 @@ struct Fire {
   }
 };
 
-template <typename Engine>
 double churn_events_per_sec(std::size_t pending, std::uint64_t ops,
                             bool bursty) {
-  Engine engine;
+  SimEngine engine;
   Rng rng(42);
   Stream stream;
   stream.bursty = bursty;
@@ -138,13 +90,9 @@ double churn_events_per_sec(std::size_t pending, std::uint64_t ops,
   double t = 0.0;
   for (std::size_t i = 0; i < pending; ++i) {
     t += rng.exponential(1.0);
-    engine.schedule_at(t, Fire<Engine>{&engine, holds.data(), &cursor});
+    engine.schedule_at(t, Fire{&engine, holds.data(), &cursor});
   }
-  // Warm-up: reach steady state (ladder epochs built, pools grown, heap
-  // settled) before the clock starts.  Note the measured window spans
-  // epoch re-buckets only while pending <= ~ops/3 (an epoch is ~pending
-  // events long): the 10k/100k rows amortize several re-buckets into
-  // their numbers, the 1M rows measure the within-epoch path only.
+  // Warm-up: pool and heap at their steady size before the clock starts.
   const std::uint64_t warm = ops / 10;
   while (engine.executed() < warm) engine.step();
 
@@ -159,51 +107,31 @@ double churn_events_per_sec(std::size_t pending, std::uint64_t ops,
 }  // namespace
 
 int main() {
-  std::printf("%s",
-              banner("Engine: ladder queue vs binary heap, churn throughput")
-                  .c_str());
+  std::printf("%s", banner("Engine: binary-heap calendar, churn throughput at "
+                           "workload depths")
+                        .c_str());
 
-  constexpr std::uint64_t kOps = 300000;
-  const std::size_t populations[] = {10000, 100000, 1000000};
+  constexpr std::uint64_t kOps = 3000000;
+  // Deepest calendar of tenants-100k, fixed-deep and mix-live-chaos.
+  const std::size_t depths[] = {10, 94, 303};
 
   std::vector<std::vector<std::string>> rows;
-  double speedup_100k_min = 0.0;
-  bool all_2x_at_100k = true;
   // Best of 3 per cell: the interesting number is what the calendar can
   // do, not what the noisy neighbours on a shared box leave over.
-  const auto best = [](double a, double b) { return a > b ? a : b; };
-  for (std::size_t pending : populations) {
+  for (std::size_t pending : depths) {
     for (bool bursty : {false, true}) {
-      double heap = 0.0, ladder = 0.0;
+      double best = 0.0;
       for (int rep = 0; rep < 3; ++rep) {
-        heap = best(heap, churn_events_per_sec<HeapEngine>(pending, kOps,
-                                                           bursty));
-        ladder = best(ladder, churn_events_per_sec<SimEngine>(pending, kOps,
-                                                              bursty));
+        const double rate = churn_events_per_sec(pending, kOps, bursty);
+        if (rate > best) best = rate;
       }
-      const double speedup = ladder / heap;
       rows.push_back({std::to_string(pending), bursty ? "bursty" : "sorted",
-                      fmt(heap / 1e6, 2), fmt(ladder / 1e6, 2),
-                      fmt(speedup, 2)});
-      if (pending >= 100000) {
-        all_2x_at_100k = all_2x_at_100k && speedup >= 2.0;
-        if (speedup_100k_min == 0.0 || speedup < speedup_100k_min) {
-          speedup_100k_min = speedup;
-        }
-      }
+                      fmt(best / 1e6, 2)});
     }
   }
-  std::printf("%s", render_table({"pending", "stream", "heap (Mev/s)",
-                                  "ladder (Mev/s)", "speedup"},
-                                 rows)
-                        .c_str());
+  std::printf("%s",
+              render_table({"pending", "stream", "churn (Mev/s)"}, rows)
+                  .c_str());
   std::printf("churn_ops: %llu\n", static_cast<unsigned long long>(kOps));
-  std::printf("ladder_speedup_min_at_100k_plus: %.2f\n", speedup_100k_min);
-
-  if (!all_2x_at_100k) {
-    std::fprintf(stderr,
-                 "bench_engine: warning: ladder < 2x heap at a 100k+ pending "
-                 "population on this machine\n");
-  }
   return 0;
 }

@@ -228,9 +228,9 @@ int main() {
                  reference.total_requests);
     return 1;
   }
-  // Warn threshold calibrated for a 2-core box: the ladder engine (PR 3)
-  // cut the 1-shard wall ~1.6x, so the remaining parallelizable work caps
-  // the 1->8 ratio well below the pre-ladder ~2.7x.
+  // Warn threshold calibrated for a 2-core box: eight shards there run on
+  // two cores, and the serial plan and merge phases cap the 1->8 ratio
+  // below even that 2x.
   if (speedup <= 1.5) {
     std::fprintf(stderr,
                  "bench_fleet_scale: warning: 1->8 shard speedup %.2fx <= "

@@ -11,12 +11,21 @@ ThreadPool::ThreadPool(std::size_t threads) {
     threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
   workers_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
+  try {
+    for (std::size_t i = 0; i < threads; ++i) {
+      workers_.emplace_back([this] { worker_loop(); });
+    }
+  } catch (...) {
+    // A thread failed to start (std::system_error): the destructor will
+    // not run, and a joinable std::thread must not be destroyed.
+    stop_and_join();
+    throw;
   }
 }
 
-ThreadPool::~ThreadPool() {
+ThreadPool::~ThreadPool() { stop_and_join(); }
+
+void ThreadPool::stop_and_join() {
   {
     std::lock_guard lock(mu_);
     stopping_ = true;

@@ -18,7 +18,9 @@ namespace janus {
 
 class ThreadPool {
  public:
-  /// Spawns `threads` workers; 0 means hardware_concurrency (min 1).
+  /// Spawns `threads` workers; 0 means hardware_concurrency (min 1).  If
+  /// a thread fails to start, the workers already started are stopped
+  /// and joined before the error propagates.
   explicit ThreadPool(std::size_t threads = 0);
   ~ThreadPool();
 
@@ -53,6 +55,8 @@ class ThreadPool {
 
  private:
   void worker_loop();
+  /// Lets the workers drain the queue and exit, then joins them.
+  void stop_and_join();
 
   std::vector<std::thread> workers_;
   std::queue<std::function<void()>> queue_;

@@ -152,7 +152,7 @@ struct ServeState {
   // slab's so returning a slot never reallocates.
   std::vector<InFlight> slots;
   std::vector<std::uint32_t> free_slots;
-  // Open-loop arrivals as a chained event ladder: arrival i schedules
+  // Open-loop arrivals as a chain of events: arrival i schedules
   // arrival i+1 when it fires, so the calendar holds O(1) arrival events
   // per tenant instead of the whole stream.  The rng consumption (and so
   // every arrival time) is identical to the historical pre-scheduled loop.

@@ -11,7 +11,7 @@
 // request i's draw happens when request i starts, which keeps a 100k-tenant
 // fleet from materializing every tenant's full draw table up front.  Since
 // requests start in index order (closed loop is sequential; open-loop
-// arrivals are a chained event ladder with non-decreasing times), the
+// arrivals are a chain of events with non-decreasing times), the
 // stream is consumed exactly as the historical pre-draw did — bit-identical
 // draws, O(1) live draws per tenant.
 #pragma once

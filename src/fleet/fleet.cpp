@@ -67,6 +67,10 @@ std::string fmt_double(double v) {
 void validate_fleet(const FleetConfig& config) {
   require(!config.tenants.empty(), "fleet needs >= 1 tenant");
   require(config.shards >= 1, "fleet needs >= 1 shard");
+  if (config.shards > kMaxFleetShards) {
+    throw_invalid("fleet needs <= " + std::to_string(kMaxFleetShards) +
+                  " shards");
+  }
   require(config.hist_max_s > 0.0 && config.hist_bins > 0,
           "fleet histogram layout must be non-degenerate");
   require(config.obs.sample_every >= 1, "obs sampling stride must be >= 1");

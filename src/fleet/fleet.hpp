@@ -91,6 +91,11 @@ struct TenantSpec {
   double contention_alpha = 0.0;
 };
 
+/// Upper bound on FleetConfig::shards.  Each shard is a thread, so an
+/// unbounded count would exhaust the host's thread space before any
+/// tenant runs.
+inline constexpr int kMaxFleetShards = 1024;
+
 struct FleetConfig {
   std::vector<TenantSpec> tenants;
   int shards = 1;

@@ -1,23 +1,17 @@
 // Discrete-event simulation engine.
 //
-// The calendar is a bucketed ladder queue instead of one binary heap:
+// The calendar is one binary min-heap of 16-byte (time, seq|slot) nodes,
+// kept by std::push_heap / std::pop_heap.  Closures never enter it: they
+// are placement-built into a slot pool (no per-event malloc/free, no
+// relocation), so every sift moves 16 hot bytes, never capture bytes.
 //
-//  * `current_` — the bucket being drained, kept as a small binary
-//    min-heap of 16-byte (time, seq|slot) nodes: pops and mid-bucket
-//    inserts cost O(log bucket) sifts over cache-hot nodes, never a
-//    closure move or a vector memmove.
-//  * `rungs_` — the ladder: fixed-width time buckets covering
-//    [ladder_start_, ladder_end_).  Insertion is an O(1) push_back into
-//    the right bucket; a bucket is heapified only when it becomes current.
-//  * `far_` — unsorted overflow for events at or beyond ladder_end_.
-//    When the ladder drains, far_ is re-bucketed into a fresh ladder whose
-//    width adapts to the observed event density (epoch advance).
-//
-// Near-sorted arrival streams (open-loop load generators) make both
-// enqueue and dequeue amortized O(1) versus the heap's O(log n), and the
-// constant factor shrinks further because closures are placement-built
-// directly into a slot pool (no per-event malloc/free, no relocation) and
-// the ordering structures move 16-byte nodes, not closures.
+// Why a plain heap: every calendar holds one tenant — the fleet gives
+// each tenant its own engine — and the deepest one any workload reaches
+// holds a few hundred pending events.  At that depth a heap of 16-byte
+// nodes spans a few KiB and its O(log n) sifts stay in L1, so a bucketed
+// calendar queue, which amortizes to O(1) only at 100k+ pending, would
+// just add bookkeeping: every new tenant's first events would pay for a
+// bucket layout they never reuse.
 //
 // The slot pool (SimEngine::SlotPool) may be shared.  A default-built
 // engine owns a private pool; SimEngine(SlotPool&) borrows one, so many
@@ -29,16 +23,14 @@
 //  * the 16M in-flight slot space belongs to the pool: it bounds the sum
 //    of pending events over all the engines sharing it.
 //
-// Ordering contract (unchanged from the heap engine, and what keeps fleet
-// metrics bit-identical at any shard count): events execute in strict
-// (time, insertion-seq) order, and a schedule_at with t < now() is clamped
-// to now() — it fires as soon as possible, after any already-queued events
-// at now().
+// Ordering contract (what keeps fleet metrics bit-identical at any shard
+// count): events execute in strict (time, insertion-seq) order, and a
+// schedule_at with t < now() is clamped to now() — it fires as soon as
+// possible, after any already-queued events at now().
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -59,8 +51,8 @@ namespace janus {
 /// lives in the runner's slab, not in closures.  Every capture is
 /// static_asserted against its budget at its construction site by
 /// InlineFunction itself.  Keep this as small as those captures allow:
-/// slot size times pending events is the pool's working set, and
-/// large-fleet runs keep ~100k events pending.
+/// slot size times pending events is the pool's working set, and a live
+/// shard's pool holds the pending events of every tenant it runs.
 inline constexpr std::size_t kEventCaptureBytes = 128;
 using EventFn = InlineFunction<void(), kEventCaptureBytes>;
 
@@ -155,34 +147,13 @@ class SimEngine {
     require(next_seq_ < kMaxSeq, "event sequence space exhausted");
     const EventNode node{
         t, (next_seq_++ << kSlotBits) | pool_->acquire(std::forward<F>(fn))};
-    ++size_;
-    JANUS_OBS(obs_, obs_->note_pending(size_));
-    if (t < current_end_) {
-      // Into the bucket being drained: O(log bucket) sift.  The node's
-      // globally-largest seq makes it drain after already-queued peers at
-      // the same time — the clamp contract.
-      // janus-lint: allow(hot-path-growth) drain bucket keeps its capacity
-      // across epochs (swap in prepare_next recycles it); amortized-free.
-      current_.push_back(node);
-      std::push_heap(current_.begin(), current_.end(), Later{});
-    } else if (next_rung_ < active_rungs_ && t < ladder_end_) {
-      // O(1) bucket append.  The double-precision index is weakly
-      // monotone in t, so bucket membership can never invert event order;
-      // the clamps guard the FP edges (a boundary-time event must not
-      // land in a bucket the drain already passed, nor off the ladder).
-      const double didx = (t - ladder_start_) * inv_width_;
-      std::size_t idx = didx >= static_cast<double>(active_rungs_)
-                            ? active_rungs_ - 1
-                            : static_cast<std::size_t>(didx);
-      idx = std::min(std::max(idx, next_rung_), active_rungs_ - 1);
-      // janus-lint: allow(hot-path-growth) rungs_ never shrinks, so bucket
-      // vectors retain their high-water capacity across epochs.
-      rungs_[idx].push_back(node);
-    } else {
-      // janus-lint: allow(hot-path-growth) far_ is cleared (capacity kept)
-      // on every rebucket; growth settles after the first epoch.
-      far_.push_back(node);
-    }
+    // janus-lint: allow(hot-path-growth) the heap keeps its capacity
+    // across reset(), so growth settles at the calendar's peak depth.
+    heap_.push_back(node);
+    // The node's globally-largest seq makes it fire after already-queued
+    // peers at the same time — the clamp contract.
+    std::push_heap(heap_.begin(), heap_.end(), Later{});
+    JANUS_OBS(obs_, obs_->note_pending(heap_.size()));
   }
 
   /// Schedules `fn` after `delay` seconds (>= 0).
@@ -194,21 +165,18 @@ class SimEngine {
 
   /// Executes the next event; returns false when the calendar is empty.
   JANUS_HOT bool step() {
-    if (current_.empty() && !prepare_next()) return false;
-    std::pop_heap(current_.begin(), current_.end(), Later{});
-    const EventNode node = current_.back();
-    current_.pop_back();
-    --size_;
+    if (heap_.empty()) return false;
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    const EventNode node = heap_.back();
+    heap_.pop_back();
     now_ = node.time;
     last_event_ = node.time;
     ++executed_;
 #if defined(__GNUC__) || defined(__clang__)
     // Overlap the next closure's (possibly cold) slot fetch with this
-    // event's execution; with 100k+ pending events the pool outgrows
-    // cache and this hides most of the dequeue's DRAM latency.
-    if (!current_.empty()) {
-      __builtin_prefetch(pool_->at(current_.front().slot()));
-    }
+    // event's execution: a shard's pool is shared by every tenant it
+    // runs, so the next slot need not be cache-resident.
+    if (!heap_.empty()) __builtin_prefetch(pool_->at(heap_.front().slot()));
 #endif
     // Invoke in place — no relocation.  The Slot[] slabs never move even
     // if a re-entrant schedule_at grows the pool, so the pointer stays
@@ -232,15 +200,15 @@ class SimEngine {
   /// calendar drains earlier (or was empty).
   void run_until(Seconds t);
 
-  std::size_t pending() const noexcept { return size_; }
+  std::size_t pending() const noexcept { return heap_.size(); }
   std::uint64_t executed() const noexcept { return executed_; }
 
   /// Rewinds a drained calendar to t = 0 so a new, independent simulation
   /// can reuse it: now(), last_event_s(), the insertion sequence,
-  /// executed() and the ladder cursors restart from a fresh engine's
-  /// values, while the slot pool and bucket capacities are kept.  A reset
-  /// engine therefore orders any schedule exactly like a fresh one, and
-  /// once capacities settle, repeating a workload allocates nothing.
+  /// and executed() restart from a fresh engine's values, while the slot
+  /// pool and the heap's capacity are kept.  A reset engine therefore
+  /// orders any schedule exactly like a fresh one, and repeating a
+  /// workload that fits the kept capacity allocates nothing.
   /// Throws if events are still pending.
   void reset();
 
@@ -254,8 +222,8 @@ class SimEngine {
   /// 16-byte calendar node: time plus (seq << 24 | slot).  seq lives in
   /// the high 40 bits so comparing the packed word compares seq (unique
   /// per event, so the slot bits never decide anything); the closure lives
-  /// in the slot pool.  Every sort/heap/bucket operation therefore moves
-  /// 16 hot bytes and never touches capture bytes.
+  /// in the slot pool.  Every heap sift therefore moves 16 hot bytes and
+  /// never touches capture bytes.
   struct EventNode {
     Seconds time;
     std::uint64_t seq_slot;
@@ -270,8 +238,8 @@ class SimEngine {
 
   /// Strict (time, seq) total order, expressed as "executes later" so the
   /// STL heap helpers keep the soonest event at the root.  seq is unique,
-  /// which is what makes the ladder reproduce the reference binary heap's
-  /// execution order exactly.
+  /// so the order is total and the heap's internal layout never decides
+  /// which of two events fires first.
   struct Later {
     bool operator()(const EventNode& a, const EventNode& b) const noexcept {
       if (a.time != b.time) return a.time > b.time;
@@ -279,33 +247,8 @@ class SimEngine {
     }
   };
 
-  static constexpr std::size_t kTargetRungSize = 64;  // events per bucket
-  static constexpr std::size_t kMaxRungs = 1u << 14;
-
-  /// Materializes the next non-empty bucket (or re-buckets far_) into
-  /// current_; returns false when the whole calendar is empty.
-  bool prepare_next();
-  void rebucket();
-
-  static constexpr Seconds kInf = std::numeric_limits<Seconds>::infinity();
-
-  // Drain bucket: min-heap on (time, seq); holds events < current_end_.
-  std::vector<EventNode> current_;
-  Seconds current_end_ = -kInf;
-
-  // Ladder: rungs_[i] spans [ladder_start_ + i*width, + width); only
-  // rungs_[next_rung_ .. active_rungs_) still hold events.  rungs_ never
-  // shrinks, so bucket vectors keep their capacity across epochs.
-  std::vector<std::vector<EventNode>> rungs_;
-  std::size_t next_rung_ = 0;
-  std::size_t active_rungs_ = 0;
-  Seconds ladder_start_ = 0.0;
-  Seconds ladder_end_ = -kInf;
-  double inv_width_ = 0.0;
-  Seconds width_ = 0.0;
-
-  // Overflow beyond ladder_end_, re-bucketed on epoch advance.
-  std::vector<EventNode> far_;
+  // Min-heap on (time, seq) under Later: front() is the next event.
+  std::vector<EventNode> heap_;
 
   // Where closures live: own_pool_ for a default-built engine, else a
   // borrowed pool.
@@ -316,7 +259,6 @@ class SimEngine {
   Seconds last_event_ = 0.0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
-  std::size_t size_ = 0;
   EngineObs* obs_ = nullptr;
 };
 

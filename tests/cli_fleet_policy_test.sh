@@ -6,7 +6,9 @@
 #     runtime failure) — never a silent fallback to fixed;
 #   * an empty --policy value is an error, not "no flag";
 #   * a valid mixed-policy set actually runs end to end and reports the
-#     per-tenant policy column.
+#     per-tenant policy column;
+#   * a --shards count above the cap (1024) is a range failure: exit 1
+#     with a one-line error, before any shard thread starts.
 #
 # usage: cli_fleet_policy_test.sh /path/to/janus_cli
 set -u
@@ -74,6 +76,17 @@ code=$?
 case "$out" in
   *'"policy": "janus"'*) ;;
   *) fail "json output lacks the tenant policy field: $out" ;;
+esac
+
+# ---- --shards above the cap: exit 1, one line, names the cap ----------
+err=$("$cli" fleet --tenants 2 --requests 5 --shards 1025 2>&1 >/dev/null)
+code=$?
+[ "$code" -eq 1 ] || fail "--shards 1025 exited $code, want 1"
+[ "$(printf '%s\n' "$err" | wc -l)" -eq 1 ] \
+  || fail "--shards cap error is not one line: $err"
+case "$err" in
+  *"1024"*) ;;
+  *) fail "--shards cap error does not name the cap: $err" ;;
 esac
 
 if [ "$failures" -gt 0 ]; then

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -846,6 +847,23 @@ TEST(Fleet, RejectsBadConfig) {
   dwell.tenants[0].arrivals.burst_dwell_s = 0.0;
   dwell.tenants[0].arrivals.burst_rate = 1e9;  // keep burst >= base valid
   EXPECT_THROW(run_fleet(dwell), std::invalid_argument);
+}
+
+TEST(Fleet, RejectsShardCountAboveCap) {
+  // Each shard is a thread: the cap is checked before any thread starts,
+  // on both the whole-fleet and the slice entry points.
+  FleetConfig config = small_fleet(kMaxFleetShards + 1);
+  try {
+    run_fleet(config);
+    FAIL() << "a shard count above the cap ran";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(std::to_string(kMaxFleetShards)),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(run_fleet_slice(config, 0, 1), std::invalid_argument);
+  config.shards = std::numeric_limits<int>::max();
+  EXPECT_THROW(run_fleet(config), std::invalid_argument);
 }
 
 // ------------------------------------------------------- control plane --

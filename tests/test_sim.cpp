@@ -1,6 +1,6 @@
 // Tests for src/sim: event engine ordering (including the differential
-// ladder-vs-heap replay, calendars sharing one slot pool, and the
-// allocation-free steady-state contract),
+// replay against a reference binary heap of closures, calendars sharing
+// one slot pool, and the allocation-free steady-state contract),
 // platform pod lifecycle, warm pools, co-location packing, invoke outcomes,
 // a reset() platform against a fresh one, the allocation-free request path
 // through exp/runner's serve_workload, a recycled serve state against a
@@ -32,7 +32,7 @@
 
 // ---- Allocation-counting hook -------------------------------------------
 // Replaces this binary's global operator new/delete with counting
-// forwarders.  The ladder engine and the runner's request path promise
+// forwarders.  The event engine and the runner's request path promise
 // zero per-event heap allocations once their pools are warm; the
 // SteadyState*DoesNotAllocate tests measure a window against this counter
 // to hold them to that.
@@ -145,8 +145,8 @@ TEST(SimEngine, EventsCanCascade) {
   EXPECT_EQ(depth, 10);
 }
 
-// ---- run_until boundary semantics (contract locked before the ladder
-// swap; these pin exactly what serve_workload and the fleet rely on) ------
+// ---- run_until boundary semantics (these pin exactly what serve_workload
+// and the fleet rely on: the peek at the earliest pending event) ---------
 
 TEST(SimEngine, RunUntilFiresEventExactlyAtBoundary) {
   SimEngine engine;
@@ -201,10 +201,13 @@ TEST(SimEngine, RunUntilThenRunDrainsInOrder) {
   EXPECT_EQ(times, (std::vector<double>{1.0, 2.0, 3.0, 4.0, 5.0}));
 }
 
-// ---- differential ordering: ladder engine vs reference binary heap ------
+// ---- differential ordering: SimEngine vs reference binary heap ----------
 
-/// The seed implementation SimEngine replaced: one binary heap of
-/// (time, seq, closure).  Kept here as the ordering oracle.
+/// The plainest calendar that meets the ordering contract: a
+/// std::priority_queue of (time, seq, std::function) events.  SimEngine
+/// orders 16-byte nodes and keeps closures in a slot pool; this oracle
+/// shares none of that machinery, so agreeing logs pin the (time, seq)
+/// order and the clamp, not the heap's layout.
 class ReferenceHeapEngine {
  public:
   Seconds now() const noexcept { return now_; }
@@ -304,26 +307,27 @@ std::vector<std::pair<int, double>> replay_script(std::uint64_t seed,
 
 TEST(SimEngine, DifferentialOrderingMatchesReferenceHeap) {
   for (std::uint64_t seed : {1ULL, 7ULL, 42ULL, 2026ULL, 0xdeadbeefULL}) {
-    const auto ladder = replay_script<SimEngine>(seed, 200, 4000);
+    const auto engine = replay_script<SimEngine>(seed, 200, 4000);
     const auto heap = replay_script<ReferenceHeapEngine>(seed, 200, 4000);
-    ASSERT_EQ(ladder.size(), heap.size()) << "seed " << seed;
-    ASSERT_EQ(ladder, heap) << "seed " << seed;
+    ASSERT_EQ(engine.size(), heap.size()) << "seed " << seed;
+    ASSERT_EQ(engine, heap) << "seed " << seed;
   }
 }
 
-TEST(SimEngine, DifferentialOrderingAcrossEpochRebuckets) {
-  // Wide time range + few events per epoch forces many far-list re-bucket
-  // cycles; dense bursts force big near buckets.  Both must keep exact
-  // (time, seq) order.
+TEST(SimEngine, DifferentialOrderingOnDeepCalendar) {
+  // 1500 roots keep the calendar several times deeper than any workload's
+  // (peak 303 pending), so sifts run many levels and cascades interleave
+  // with a long backlog; the order must still be exactly (time, seq).
   for (std::uint64_t seed : {3ULL, 99ULL}) {
-    const auto ladder = replay_script<SimEngine>(seed, 1500, 12000);
+    const auto engine = replay_script<SimEngine>(seed, 1500, 12000);
     const auto heap = replay_script<ReferenceHeapEngine>(seed, 1500, 12000);
-    ASSERT_EQ(ladder, heap) << "seed " << seed;
+    ASSERT_EQ(engine, heap) << "seed " << seed;
   }
 }
 
 TEST(SimEngine, DrainRefillDrainStaysOrdered) {
-  // Re-using one engine across drains exercises the epoch reset path.
+  // Re-using one engine across drains: each round refills an emptied heap
+  // from a later now(), and must still run in time order.
   SimEngine engine;
   std::vector<double> times;
   Rng rng(11);
@@ -417,9 +421,9 @@ TEST(SimEngine, SharedSlotPool) {
   }
   EXPECT_EQ(pool.free_slots(), pool.slots());
 
-  // A calendar destroyed with events still pending (in the drain bucket,
-  // the ladder and the far list) destroys their closures and hands every
-  // slot back to the pool, which outlives it.
+  // A calendar destroyed with events still pending (799 left by
+  // run_until, one far in the future) destroys their closures and hands
+  // every slot back to the pool, which outlives it.
   const auto token = std::make_shared<int>(0);
   {
     SimEngine doomed(pool);
@@ -455,13 +459,11 @@ TEST(SimEngine, SteadyStateEventPathDoesNotAllocate) {
     }
   };
 
-  // Identical passes over one engine: the warm-up passes establish every
-  // pool and bucket capacity high-water mark (random bucket densities keep
-  // setting new records for a while, so a time-based warm-up cannot; and
-  // the absolute-time shift between passes nudges FP bucket splits, so
-  // capacities reach their fixpoint on the second pass).  The measured
-  // pass replays the same relative schedule and must take the pure
-  // steady-state path — zero heap allocations across 20k events.
+  // Identical passes over one engine: each keeps 512 events pending, so
+  // the warm-up pass takes the slot pool and the heap to their high-water
+  // marks.  The measured pass replays the same relative schedule and must
+  // take the pure steady-state path — zero heap allocations across 20k
+  // events.
   SimEngine engine;
   const auto run_pass = [&engine] {
     Rng rng(5);
@@ -472,7 +474,6 @@ TEST(SimEngine, SteadyStateEventPathDoesNotAllocate) {
     }
     engine.run();
   };
-  run_pass();
   run_pass();
   ASSERT_EQ(engine.pending(), 0u);
 
@@ -485,9 +486,9 @@ TEST(SimEngine, SteadyStateEventPathDoesNotAllocate) {
 
 TEST(SimEngine, RepeatChurnAfterResetDoesNotAllocate) {
   // The fleet's tenant-major loop resets one calendar between tenants.
-  // Replaying an identical churn on the reset calendar starts from the
-  // same absolute times, so every bucket sees the same load and the
-  // retained pool and capacities must cover it: zero heap allocations.
+  // Replaying an identical churn on the reset calendar reaches the same
+  // peak depth, so the retained pool and heap capacity must cover it:
+  // zero heap allocations.
   struct Churn {
     SimEngine* engine;
     Rng* rng;
@@ -512,10 +513,8 @@ TEST(SimEngine, RepeatChurnAfterResetDoesNotAllocate) {
     engine.run();
     engine.reset();
   };
-  // Draining hands each bucket's capacity on to the next (swap), so the
-  // per-bucket capacities settle on the second churn, as in the test
-  // above; every later repeat must be allocation-free.
-  churn();
+  // reset() keeps both, so every churn after the first must be
+  // allocation-free.
   churn();
   const std::size_t allocs_before = g_alloc_count.load();
   churn();
@@ -899,7 +898,7 @@ TEST(Platform, ResetWithInvocationInFlightThrows) {
 // ----------------------------------------------------------------- runner --
 // One open-loop IA tenant through serve_workload.  run_until(t_warm) lets
 // every retained-capacity structure reach its high-water mark: the engine's
-// slot pool and buckets, the platform's pods and idle lists, the runner's
+// slot pool and heap, the platform's pods and idle lists, the runner's
 // in-flight slab.  The rest of the run — steady-state arrivals, then the
 // drain — must not touch the heap: no per-request state, no per-stage
 // vector growth, no per-launch copy of a co-location distribution.
@@ -1290,10 +1289,9 @@ TEST(Runner, ServeRejectsMismatchedPlatform) {
 // Platform and serve state allocates exactly this many times.  The tenants
 // share a seed, so each reaches the same high-water marks (peak in-flight
 // slots, pods, calendar slots) as the warm-up: what is left is the
-// turnover cost alone.  Platform and serve state are warm after one
-// tenant; the calendar's buckets settle their capacities on its second
-// run (SimEngine.RepeatChurnAfterResetDoesNotAllocate), so two tenants
-// warm up.
+// turnover cost alone.  Platform, serve state and calendar are all warm
+// after one tenant (reset() keeps the heap's capacity:
+// SimEngine.RepeatChurnAfterResetDoesNotAllocate), so one tenant warms up.
 TEST(Runner, RecycledTenantTurnoverAllocationBudget) {
   const WorkloadSpec ia = make_ia();
   const std::vector<FunctionModel> chain = ia.chain_models();
@@ -1337,7 +1335,7 @@ TEST(Runner, RecycledTenantTurnoverAllocationBudget) {
   //   3  the log: its arena's first block, the arena's block list and the
   //      log's chunk index.
   constexpr std::size_t kPerTenant = 7;
-  for (std::size_t t = 2; t < per_tenant.size(); ++t) {
+  for (std::size_t t = 1; t < per_tenant.size(); ++t) {
     EXPECT_EQ(per_tenant[t], kPerTenant) << "tenant " << t;
   }
 }

@@ -69,7 +69,8 @@ int usage(std::FILE* out = stderr) {
       "fleet flags (sharded multi-tenant simulation):\n"
       "  --tenants N     tenant count (default 8)\n"
       "  --requests N    requests per tenant (default 1000)\n"
-      "  --shards N      simulation shards / threads (default 4)\n"
+      "  --shards N      simulation shards / threads (default 4, at most\n"
+      "                  1024)\n"
       "  --stream        streaming merge: fold each tenant's metrics the\n"
       "                  moment it completes and free its state — memory\n"
       "                  stays O(active tenants).  Per-tenant rows are\n"
