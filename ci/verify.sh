@@ -11,11 +11,12 @@
 #     against the compile_commands.json the tier-1 configure just
 #     exported, plus clang-tidy when installed.  LINT=0 skips.
 #   * ASan/UBSan pass — the simulation-facing suites (sim/fleet/exp/obs/
-#     chaos) and the stats suite are rebuilt under
-#     -fsanitize=address,undefined in build-asan/ and rerun: a fleet
-#     shard's tenant calendars share one closure slot pool, so closure
-#     lifetimes cross engines, and the empirical distribution's radix sort
-#     indexes raw buffers.  ASAN=0 skips.
+#     chaos), the stats suite and janus_cli's CLI scripts (help/
+#     fleet_policy/chaos) are rebuilt under -fsanitize=address,undefined
+#     in build-asan/ and rerun: a fleet shard's tenant calendars share one
+#     closure slot pool, so closure lifetimes cross engines, the empirical
+#     distribution's radix sort indexes raw buffers, and the CLI parses
+#     untrusted argv.  ASAN=0 skips.
 #   * TSan pass — the fleet drives the thread pool with real concurrency,
 #     so the concurrency-facing suites (fleet/common/sim/obs/chaos/
 #     frontier) are rebuilt under -fsanitize=thread in build-thread/ and
@@ -86,11 +87,12 @@ if [[ -z "$SANITIZE" ]]; then
     BUILD_DIR="$BUILD_DIR" ci/lint.sh
   fi
   if [[ "${ASAN:-1}" != "0" ]]; then
-    echo "== verify: ASan/UBSan pass (sim/fleet/exp/obs/chaos/stats suites) =="
+    echo "== verify: ASan/UBSan pass (sim/fleet/exp/obs/chaos/stats suites, CLI scripts) =="
     cmake -B build-asan -S . -DJANUS_SANITIZE=address+undefined
     cmake --build build-asan -j --target test_sim test_fleet test_exp \
-      test_obs test_chaos test_stats
-    (cd build-asan && ctest -R 'test_(sim|fleet|exp|obs|chaos|stats)' \
+      test_obs test_chaos test_stats janus_cli
+    (cd build-asan && ctest -R \
+       'test_(sim|fleet|exp|obs|chaos|stats)$|test_cli_(help|fleet_policy|chaos)$' \
        --output-on-failure -j)
   fi
   if [[ "${TSAN:-1}" != "0" ]]; then

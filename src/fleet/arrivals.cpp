@@ -210,26 +210,34 @@ class FlashArrivals final : public ArrivalProcess {
 }  // namespace
 
 void validate_arrivals(const ArrivalSpec& spec) {
+  // Every knob must be finite: an infinite rate puts every arrival at
+  // t = 0, and an infinite dwell, period or gap stalls the process.
   // A trace defines its own rate; everything else needs the knob.
   if (spec.kind != ArrivalKind::Trace) {
-    require(spec.rate > 0.0, "arrival rate must be > 0");
+    require(spec.rate > 0.0 && std::isfinite(spec.rate),
+            "arrival rate must be finite and > 0");
   }
-  require(spec.flash_k > 0.0, "flash multiplier must be > 0");
+  require(spec.flash_k > 0.0 && std::isfinite(spec.flash_k),
+          "flash multiplier must be finite and > 0");
   if (spec.has_flash()) {
-    require(spec.flash_t0_s >= 0.0 && spec.flash_t1_s > spec.flash_t0_s,
-            "flash window must satisfy 0 <= t0 < t1");
+    require(spec.flash_t0_s >= 0.0 && spec.flash_t1_s > spec.flash_t0_s &&
+                std::isfinite(spec.flash_t1_s),
+            "flash window must satisfy 0 <= t0 < t1 < inf");
   }
   switch (spec.kind) {
     case ArrivalKind::Poisson:
       break;
     case ArrivalKind::Mmpp:
-      require(spec.burst_rate >= spec.rate,
-              "MMPP burst rate must be >= base rate");
-      require(spec.base_dwell_s > 0.0 && spec.burst_dwell_s > 0.0,
-              "MMPP dwell times must be > 0");
+      require(spec.burst_rate >= spec.rate && std::isfinite(spec.burst_rate),
+              "MMPP burst rate must be finite and >= base rate");
+      require(spec.base_dwell_s > 0.0 && spec.burst_dwell_s > 0.0 &&
+                  std::isfinite(spec.base_dwell_s) &&
+                  std::isfinite(spec.burst_dwell_s),
+              "MMPP dwell times must be finite and > 0");
       break;
     case ArrivalKind::Diurnal:
-      require(spec.period_s > 0.0, "diurnal period must be > 0");
+      require(spec.period_s > 0.0 && std::isfinite(spec.period_s),
+              "diurnal period must be finite and > 0");
       require(spec.amplitude >= 0.0 && spec.amplitude <= 1.0,
               "diurnal amplitude must be in [0, 1]");
       break;
@@ -237,7 +245,8 @@ void validate_arrivals(const ArrivalSpec& spec) {
       require(!spec.trace_gaps.empty(),
               "trace replay needs >= 1 inter-arrival gap");
       for (Seconds gap : spec.trace_gaps) {
-        require(gap > 0.0, "trace inter-arrival gaps must be > 0");
+        require(gap > 0.0 && std::isfinite(gap),
+                "trace inter-arrival gaps must be finite and > 0");
       }
       break;
   }

@@ -139,8 +139,9 @@ FleetPlan plan_fleet(const FleetConfig& config) {
   for (std::size_t t = 0; t < n; ++t) {
     const TenantSpec& spec = config.tenants[t];
     require(spec.requests > 0, "tenant needs >= 1 request");
-    require(spec.contention_alpha >= 0.0,
-            "tenant contention alpha must be >= 0");
+    require(spec.contention_alpha >= 0.0 &&
+                std::isfinite(spec.contention_alpha),
+            "tenant contention alpha must be finite and >= 0");
     require_fleet_policy(spec.policy);
     // Validate the arrival spec *now*: the fleet has no closed-loop
     // tenants, and a bad spec must fail here, not as NaN inside the pod

@@ -26,6 +26,8 @@
 namespace janus {
 namespace {
 
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
 // ------------------------------------------------------------- arrivals --
 std::vector<Seconds> arrival_times(const ArrivalSpec& spec, int count,
                                    std::uint64_t seed) {
@@ -159,6 +161,10 @@ TEST(Arrivals, TraceValidation) {
   negative.kind = ArrivalKind::Trace;
   negative.trace_gaps = {0.5, -1.0};
   EXPECT_THROW(make_arrivals(negative), std::invalid_argument);
+  ArrivalSpec infinite;
+  infinite.kind = ArrivalKind::Trace;
+  infinite.trace_gaps = {0.5, kInf};
+  EXPECT_THROW(make_arrivals(infinite), std::invalid_argument);
 }
 
 TEST(Arrivals, SynthesizedInterarrivalTrace) {
@@ -193,6 +199,25 @@ TEST(Arrivals, SpecValidation) {
   diurnal.kind = ArrivalKind::Diurnal;
   diurnal.amplitude = 1.5;
   EXPECT_THROW(make_arrivals(diurnal), std::invalid_argument);
+  // Non-finite knobs: an infinite rate would put every arrival at t = 0.
+  ArrivalSpec inf_rate;
+  inf_rate.rate = kInf;
+  EXPECT_THROW(make_arrivals(inf_rate), std::invalid_argument);
+  ArrivalSpec inf_burst;
+  inf_burst.kind = ArrivalKind::Mmpp;
+  inf_burst.burst_rate = kInf;
+  EXPECT_THROW(make_arrivals(inf_burst), std::invalid_argument);
+  ArrivalSpec inf_dwell;
+  inf_dwell.kind = ArrivalKind::Mmpp;
+  inf_dwell.base_dwell_s = kInf;
+  EXPECT_THROW(make_arrivals(inf_dwell), std::invalid_argument);
+  inf_dwell.base_dwell_s = 20.0;
+  inf_dwell.burst_dwell_s = kInf;
+  EXPECT_THROW(make_arrivals(inf_dwell), std::invalid_argument);
+  ArrivalSpec inf_period;
+  inf_period.kind = ArrivalKind::Diurnal;
+  inf_period.period_s = kInf;
+  EXPECT_THROW(make_arrivals(inf_period), std::invalid_argument);
   EXPECT_EQ(arrival_kind_from_string("mmpp"), ArrivalKind::Mmpp);
   EXPECT_THROW(arrival_kind_from_string("pareto"), std::invalid_argument);
 }
@@ -252,7 +277,12 @@ TEST(Arrivals, FlashSpecValidation) {
   spec.flash_t0_s = 10.0;
   spec.flash_t1_s = 10.0;
   EXPECT_THROW(make_arrivals(spec), std::invalid_argument);
+  spec.flash_t1_s = kInf;  // the window must close
+  EXPECT_THROW(make_arrivals(spec), std::invalid_argument);
   spec.flash_t1_s = 20.0;
+  spec.flash_k = kInf;
+  EXPECT_THROW(make_arrivals(spec), std::invalid_argument);
+  spec.flash_k = 3.0;
   EXPECT_NO_THROW(make_arrivals(spec));
   // K < 1 is a brown-out, equally legal.
   spec.flash_k = 0.25;
@@ -847,6 +877,12 @@ TEST(Fleet, RejectsBadConfig) {
   dwell.tenants[0].arrivals.burst_dwell_s = 0.0;
   dwell.tenants[0].arrivals.burst_rate = 1e9;  // keep burst >= base valid
   EXPECT_THROW(run_fleet(dwell), std::invalid_argument);
+  FleetConfig flood = small_fleet(1);
+  flood.tenants[0].arrivals.rate = kInf;
+  EXPECT_THROW(run_fleet(flood), std::invalid_argument);
+  FleetConfig alpha = small_fleet(1);
+  alpha.tenants[0].contention_alpha = kInf;
+  EXPECT_THROW(run_fleet(alpha), std::invalid_argument);
 }
 
 TEST(Fleet, RejectsShardCountAboveCap) {

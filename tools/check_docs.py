@@ -7,9 +7,10 @@ Two checks, both derived from the tree itself so the gate cannot rot:
     docs/**/*.md must resolve to an existing file or directory (anchors
     and absolute http(s)/mailto links are skipped);
   * every `janus_cli <subcommand>` the docs mention must be a subcommand
-    the CLI actually dispatches — the valid set is parsed from the
-    `cmd == "..."` comparisons in tools/janus_cli.cpp, not hard-coded
-    here, so renaming a subcommand flags every stale mention.
+    the CLI actually dispatches — the valid set is parsed from the rows
+    of the `kCommands` table (plus the `cmd == "help"` alias) in
+    tools/janus_cli.cpp, not hard-coded here, so renaming a subcommand
+    flags every stale mention.
 
 Run from anywhere (`python3 tools/check_docs.py`); ci/lint.sh runs it on
 every push.  Exit 0 clean, 1 with one line per finding.
@@ -26,6 +27,8 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # must resolve too.
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 SUBCOMMAND_RE = re.compile(r"janus_cli\s+([a-z][a-z0-9_-]*)")
+COMMANDS_RE = re.compile(r"kCommands\[\] = \{(.*?)\n\};", re.S)
+COMMAND_ROW_RE = re.compile(r'^\s*\{"([a-z][a-z0-9-]*)",', re.M)
 DISPATCH_RE = re.compile(r'cmd == "([a-z-]+)"')
 
 
@@ -38,7 +41,10 @@ def doc_files():
 
 def cli_subcommands():
     with open(os.path.join(REPO, "tools", "janus_cli.cpp")) as f:
-        names = set(DISPATCH_RE.findall(f.read()))
+        text = f.read()
+    table = COMMANDS_RE.search(text)
+    names = set(COMMAND_ROW_RE.findall(table.group(1))) if table else set()
+    names |= set(DISPATCH_RE.findall(text))
     return {n for n in names if not n.startswith("-")}
 
 

@@ -9,6 +9,7 @@
 //                                              print the summary row
 //   janus_cli fleet [flags]                    sharded multi-tenant fleet
 //                                              simulation
+//   janus_cli frontier --step R [flags]        latency-throughput frontier
 //
 // `serve` and `fleet` accept `--seed N` and `--json` so runs are
 // scriptable: a fixed seed reproduces every simulation metric bit-for-bit
@@ -17,18 +18,35 @@
 // on, are machine-dependent) and --json
 // swaps the human tables for one machine-readable object on stdout.
 //
+// Every flag is declared once, as one row of kFlags: its name, help
+// placeholder, target Flags field (whose type picks the parse), the
+// commands that take it, its accepted range and its help text.  The
+// parser, the per-command acceptance check and the help's flag sections
+// all read that table, so adding a flag means adding one row.
+//
+// Exit codes: 0 on success and for help; 2 for usage errors (an unknown
+// command or flag, a flag the command does not take, a wrong positional
+// count, a missing required flag, an unknown policy or chaos family);
+// 1 for malformed or out-of-range values, failed I/O and failed runs.
+// Every rejection is one line on stderr.
+//
 // Everything runs against the built-in workload catalog; CSV files use the
 // same schema as LatencyProfile/HintsTable::to_csv, so tables produced here
 // can be loaded anywhere in the library.
 #include <algorithm>
-#include <cstdio>
 #include <cctype>
-#include <cmath>
-#include <cstring>
+#include <cstdio>
+#include <cstdint>
 #include <fstream>
+#include <iterator>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "common/csv.hpp"
@@ -48,396 +66,392 @@ using namespace janus;
 
 namespace {
 
-/// Usage-class error (exit 2, one line, no usage dump): the command was
-/// understood but an enumerable argument was not in its valid set.
-struct UnknownPolicyError : std::runtime_error {
+/// Usage-class error (exit 2, one line): the command line names something
+/// the CLI does not have, or leaves out something it needs.
+struct UsageError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-int usage(std::FILE* out = stderr) {
-  std::fprintf(
-      out,
-      "usage:\n"
-      "  janus_cli profile <ia|va> <out-dir>\n"
-      "  janus_cli synthesize <ia|va> <out-dir> [weight] [conc]\n"
-      "  janus_cli lookup <hints.csv> <budget-ms>\n"
-      "  janus_cli serve <ia|va> [requests] [slo-seconds] [--seed N] "
-      "[--json]\n"
-      "  janus_cli fleet [flags]\n"
-      "  janus_cli frontier --step R [flags]\n"
-      "\n"
-      "fleet flags (sharded multi-tenant simulation):\n"
-      "  --tenants N     tenant count (default 8)\n"
-      "  --requests N    requests per tenant (default 1000)\n"
-      "  --shards N      simulation shards / threads (default 4, at most\n"
-      "                  1024)\n"
-      "  --stream        streaming merge: fold each tenant's metrics the\n"
-      "                  moment it completes and free its state — memory\n"
-      "                  stays O(active tenants).  Per-tenant rows are\n"
-      "                  dropped and fleet p50/p99 come from the merged\n"
-      "                  histogram; every other metric is bit-identical\n"
-      "  --conc N[,N..]  per-request concurrency, dealt round-robin over\n"
-      "                  the tenants and clamped to each workload's\n"
-      "                  batching ceiling (default 1)\n"
-      "  --hints-dir D   load committed hints tables from D (written by\n"
-      "                  `janus_cli synthesize`) instead of synthesizing\n"
-      "                  in-process; missing tables still synthesize\n"
-      "  --seed N        fleet seed; fixes every metric bit-for-bit\n"
-      "  --rate R        base arrival rate, requests/s (default 10)\n"
-      "  --arrivals K    poisson|mmpp|diurnal|trace|mixed (default mixed)\n"
-      "  --trace P       replay inter-arrival gaps: P is a CSV path (one\n"
-      "                  gap in seconds per line) or 'synth' for a\n"
-      "                  synthesized production-shaped trace; implies\n"
-      "                  --arrivals trace, loops when requests outnumber\n"
-      "                  samples\n"
-      "  --policy P[,P]  per-tenant sizing policies, dealt round-robin\n"
-      "                  over the tenants (e.g. janus,orion,mean_based);\n"
-      "                  one name = homogeneous fleet.  Valid (default\n"
-      "                  fixed):\n"
-      "                  %s\n"
-      "                  Hints tables are synthesized once per (workload,\n"
-      "                  policy) and shared read-only across tenants\n"
-      "  --contention-alpha A\n"
-      "                  scale every tenant's allocation by\n"
-      "                  1 + A*(live co-residency - 1): policies react\n"
-      "                  directly to the epoch feed (default 0 = off)\n"
-      "  --nodes N       cluster node-pool size at plan time (default 16)\n"
-      "  --node-mc N     node capacity in millicores (default 52000)\n"
-      "  --epoch-s X     sim-seconds between cross-shard reconciliation\n"
-      "                  barriers; 'inf' (default) plans once and freezes\n"
-      "                  the packing, finite X closes the loop between\n"
-      "                  observed pod counts and interference draws\n"
-      "  --autoscale     grow/shrink the node pool from utilization at\n"
-      "                  each epoch barrier (scale-out pays one epoch of\n"
-      "                  latency; scale-in repacks displaced pods)\n"
-      "  --trace-out P   record request spans and write them to P:\n"
-      "                  .json = Chrome/Perfetto trace_event format (open\n"
-      "                  at ui.perfetto.dev), .csv = flat rows.  Sim-time\n"
-      "                  timestamps: byte-identical at any shard count\n"
-      "  --obs-sample N  record every Nth request (by request index;\n"
-      "                  default 1 = all); needs --trace-out\n"
-      "  --obs-timeline P\n"
-      "                  write the per-(epoch, tenant, stage) control-plane\n"
-      "                  timeline to P (.json or .csv); rows only appear\n"
-      "                  when --epoch-s is finite\n"
-      "  --chaos SPEC    deterministic chaos injection: a comma-separated\n"
-      "                  subset of failures,preemption,storms,flash — or\n"
-      "                  all, or none.  failures/preemption/storms act at\n"
-      "                  epoch barriers and need a finite --epoch-s; the\n"
-      "                  schedule is a pure function of (--seed,\n"
-      "                  --chaos-seed, tenant set), bit-identical at any\n"
-      "                  --shards\n"
-      "  --chaos-seed N  chaos schedule seed (default 7), mixed with\n"
-      "                  --seed so one workload can face many schedules;\n"
-      "                  needs --chaos\n"
-      "  --flash T0:T1:K multiply every tenant's arrival rate by K over\n"
-      "                  [T0, T1) sim-seconds (composes with every\n"
-      "                  --arrivals kind; cannot be combined with --chaos\n"
-      "                  flash, which schedules its own windows)\n"
-      "  --shard-slice LO:HI\n"
-      "                  worker mode: plan the whole fleet but simulate\n"
-      "                  only tenants [LO, HI) and write the slice blob to\n"
-      "                  --result-bin (static path only; see\n"
-      "                  --merge-slices)\n"
-      "  --result-bin P  slice blob output path (needs --shard-slice)\n"
-      "  --merge-slices P\n"
-      "                  repeatable: decode the named slice blobs and\n"
-      "                  merge them (under this command line's fleet\n"
-      "                  config) into the ordinary fleet report —\n"
-      "                  bit-identical to an in-process run\n"
-      "  --json          machine-readable result on stdout\n"
-      "\n"
-      "frontier flags (latency-throughput frontier explorer; accepts the\n"
-      "fleet workload flags above — tenants/requests/shards/\n"
-      "stream/conc/hints-dir/seed/rate/arrivals/trace/policy/\n"
-      "contention-alpha/nodes/node-mc/epoch-s/autoscale/chaos/chaos-seed/\n"
-      "flash — plus):\n"
-      "  --step R        ramp increment in fleet req/s (required > 0):\n"
-      "                  points R, 2R, ... run until the SLO-met target is\n"
-      "                  first missed, then bisection pins the knee\n"
-      "  --stop R        ramp ceiling in req/s (default 8x --step); every\n"
-      "                  point sustaining marks the knee censored-high\n"
-      "  --slo-target F  fraction of requests that must meet their SLO for\n"
-      "                  a point to count as sustained (default 0.95)\n"
-      "  --bisect N      bisection iterations inside the bracketed step\n"
-      "                  (default 6); knee resolution is step / 2^N\n"
-      "  --json-out P    write the frontier artifact (points + knee) as\n"
-      "                  JSON to P\n"
-      "  --csv-out P     write the per-point frontier table as CSV to P\n"
-      "\n"
-      "global flags:\n"
-      "  --log-level L   stderr diagnostics: debug|info|warn|error|off\n"
-      "                  (default warn)\n"
-      "\n"
-      "`janus_cli help` (or --help) prints this text.\n",
-      fleet_policy_list().c_str());
-  return out == stderr ? 2 : 0;
-}
-
-/// Splits argv into positional arguments and the scriptability flags
-/// shared by serve/fleet.  `seen` records which flags appeared so each
-/// command can reject the ones it does not consume — a flag that parses
-/// but silently does nothing is worse than an error.
+/// The parsed command line.  std::optional marks the flags whose presence,
+/// not just their value, matters.
 struct Flags {
+  bool help = false;
   std::uint64_t seed = 2026;
   bool json = false;
-  bool help = false;
   int tenants = 8;
-  int requests = 1000;  // per tenant; any explicit non-positive value errors
+  int requests = 1000;  // per tenant
   int shards = 4;
   bool stream = false;
-  std::string conc;         // per-tenant concurrency list; empty = all 1
-  std::string hints_dir;    // committed hints CSVs; empty = synthesize
-  std::string shard_slice;  // "LO:HI" worker range; empty = whole fleet
-  std::string result_bin;   // slice blob output path (with --shard-slice)
-  std::vector<std::string> merge_slices;  // slice blobs to merge
+  std::string conc;       // per-tenant concurrency list; empty = all 1
+  std::string hints_dir;  // committed hints CSVs; empty = synthesize
   double rate = 10.0;
   std::string arrivals = "mixed";
   std::string trace;  // CSV path or "synth"; empty = no trace replay
-  std::string policy;  // comma-separated catalog names; empty = all fixed
+  // `--policy ""` and `--chaos ""` must error like any other bad name,
+  // never fall back to the default.
+  std::optional<std::string> policy;  // absent = all fixed
   double contention_alpha = 0.0;
   int nodes = 16;
   int node_mc = 52000;
-  double epoch_s = 0.0;  // 0 = not set -> kNoEpochs (plan once)
+  double epoch_s = kNoEpochs;
   bool autoscale = false;
-  std::string trace_out;     // span artifact path; empty = tracing off
-  std::string obs_timeline;  // timeline artifact path; empty = off
+  std::string trace_out;  // span artifact path; empty = tracing off
   int obs_sample = 1;
-  std::string chaos;         // chaos family spec; empty = off
-  std::uint64_t chaos_seed = 7;
-  std::string flash;         // "T0:T1:K" window; empty = off
-  double slo_target = 0.95;  // frontier: sustained = SLO-met >= this
-  double step = 0.0;         // frontier ramp increment (required there)
-  double stop = 0.0;         // frontier ramp ceiling; 0 = 8 * step
-  int bisect = 6;            // frontier bisection iterations
-  std::string json_out;      // frontier JSON artifact path; empty = off
-  std::string csv_out;       // frontier CSV artifact path; empty = off
-  std::string log_level;  // empty = leave the library default (warn)
-  std::vector<std::string> seen;
+  std::string obs_timeline;  // timeline artifact path; empty = off
+  std::optional<std::string> chaos;
+  std::optional<std::uint64_t> chaos_seed;  // absent = ChaosConfig's seed
+  std::string flash;        // "T0:T1:K" window; empty = off
+  std::string shard_slice;  // "LO:HI" worker range; empty = whole fleet
+  std::string result_bin;   // slice blob output path (with --shard-slice)
+  std::vector<std::string> merge_slices;  // slice blobs to merge
+  std::optional<double> step;  // frontier ramp increment (required there)
+  std::optional<double> stop;  // frontier ramp ceiling; absent = 8 * step
+  double slo_target = 0.95;    // frontier: sustained = SLO-met >= this
+  int bisect = 6;              // frontier bisection iterations
+  std::string json_out;        // frontier JSON artifact path; empty = off
+  std::string csv_out;         // frontier CSV artifact path; empty = off
+  std::string log_level;       // empty = leave the library default (warn)
 };
 
-/// Strict numeric parsing: the whole token must be consumed, so typos like
-/// "4x" error instead of silently truncating.
-int parse_int(const std::string& text, const char* flag) {
-  std::size_t used = 0;
-  int v = 0;
-  try {
-    v = std::stoi(text, &used);
-  } catch (const std::exception&) {
-    used = std::string::npos;
+/// Accepted values of a numeric flag: above `lo` (or at it, when closed)
+/// and at most `hi`.  Only hi = +inf admits infinity; NaN never passes.
+struct Range {
+  double lo;
+  bool lo_open;
+  double hi;
+};
+constexpr double kMax = std::numeric_limits<double>::max();
+constexpr Range kAny{-kMax, false, kMax};
+constexpr Range kPositive{0.0, true, kMax};
+constexpr Range kNonNegative{0.0, false, kMax};
+constexpr Range kAtLeastOne{1.0, false, kMax};
+constexpr Range kFraction{0.0, true, 1.0};
+constexpr Range kShardCount{1.0, false, kMaxFleetShards};
+constexpr Range kEpochLength{0.0, true, kNoEpochs};
+
+// Command bits: each flag row names the commands that take it.
+constexpr unsigned kProfile = 1, kSynthesize = 2, kLookup = 4, kServe = 8,
+                   kFleet = 16, kFrontier = 32;
+constexpr unsigned kWorkload = kFleet | kFrontier;
+constexpr unsigned kEvery = 63;
+
+/// A flag's target field; the field's type picks the parse.
+using Field = std::variant<bool Flags::*, int Flags::*, double Flags::*,
+                           std::uint64_t Flags::*, std::string Flags::*,
+                           std::optional<double> Flags::*,
+                           std::optional<std::uint64_t> Flags::*,
+                           std::optional<std::string> Flags::*,
+                           std::vector<std::string> Flags::*>;
+
+struct FlagSpec {
+  const char* name;
+  const char* arg;  // help placeholder; "" for a switch
+  Field field;
+  unsigned commands;
+  Range range;       // numeric fields only
+  const char* help;  // '\n' starts a continuation line; "" = not listed
+};
+
+// In help order: the fleet section lists every row fleet takes.
+const FlagSpec kFlags[] = {
+    {"--tenants", "N", &Flags::tenants, kWorkload, kAtLeastOne,
+     "tenant count (default 8)"},
+    {"--requests", "N", &Flags::requests, kWorkload, kAtLeastOne,
+     "requests per tenant (default 1000)"},
+    {"--shards", "N", &Flags::shards, kWorkload, kShardCount,
+     "simulation shards / threads (default 4, at most\n1024)"},
+    {"--stream", "", &Flags::stream, kWorkload, kAny,
+     "streaming merge: fold each tenant's metrics the\n"
+     "moment it completes and free its state — memory\n"
+     "stays O(active tenants).  Per-tenant rows are\n"
+     "dropped and fleet p50/p99 come from the merged\n"
+     "histogram; every other metric is bit-identical"},
+    {"--conc", "N[,N..]", &Flags::conc, kWorkload, kAny,
+     "per-request concurrency, dealt round-robin over\n"
+     "the tenants and clamped to each workload's\n"
+     "batching ceiling (default 1)"},
+    {"--hints-dir", "D", &Flags::hints_dir, kWorkload, kAny,
+     "load committed hints tables from D (written by\n"
+     "`janus_cli synthesize`) instead of synthesizing\n"
+     "in-process; missing tables still synthesize"},
+    {"--seed", "N", &Flags::seed, kServe | kWorkload, kAny,
+     "fleet seed; fixes every metric bit-for-bit"},
+    {"--rate", "R", &Flags::rate, kWorkload, kPositive,
+     "base arrival rate, requests/s (default 10)"},
+    {"--arrivals", "K", &Flags::arrivals, kWorkload, kAny,
+     "poisson|mmpp|diurnal|trace|mixed (default mixed)"},
+    {"--trace", "P", &Flags::trace, kWorkload, kAny,
+     "replay inter-arrival gaps: P is a CSV path (one\n"
+     "gap in seconds per line) or 'synth' for a\n"
+     "synthesized production-shaped trace; implies\n"
+     "--arrivals trace, loops when requests outnumber\n"
+     "samples"},
+    {"--policy", "P[,P]", &Flags::policy, kWorkload, kAny,
+     "per-tenant sizing policies, dealt round-robin\n"
+     "over the tenants (e.g. janus,orion,mean_based);\n"
+     "one name = homogeneous fleet.  Valid (default\n"
+     "fixed):\n"
+     "%s\n"
+     "Hints tables are synthesized once per (workload,\n"
+     "policy) and shared read-only across tenants"},
+    {"--contention-alpha", "A", &Flags::contention_alpha, kWorkload,
+     kNonNegative,
+     "scale every tenant's allocation by\n"
+     "1 + A*(live co-residency - 1): policies react\n"
+     "directly to the epoch feed (default 0 = off)"},
+    {"--nodes", "N", &Flags::nodes, kWorkload, kAtLeastOne,
+     "cluster node-pool size at plan time (default 16)"},
+    {"--node-mc", "N", &Flags::node_mc, kWorkload, kAtLeastOne,
+     "node capacity in millicores (default 52000)"},
+    {"--epoch-s", "X", &Flags::epoch_s, kWorkload, kEpochLength,
+     "sim-seconds between cross-shard reconciliation\n"
+     "barriers; 'inf' (default) plans once and freezes\n"
+     "the packing, finite X closes the loop between\n"
+     "observed pod counts and interference draws"},
+    {"--autoscale", "", &Flags::autoscale, kWorkload, kAny,
+     "grow/shrink the node pool from utilization at\n"
+     "each epoch barrier (scale-out pays one epoch of\n"
+     "latency; scale-in repacks displaced pods)"},
+    {"--trace-out", "P", &Flags::trace_out, kFleet, kAny,
+     "record request spans and write them to P:\n"
+     ".json = Chrome/Perfetto trace_event format (open\n"
+     "at ui.perfetto.dev), .csv = flat rows.  Sim-time\n"
+     "timestamps: byte-identical at any shard count"},
+    {"--obs-sample", "N", &Flags::obs_sample, kFleet, kAtLeastOne,
+     "record every Nth request (by request index;\n"
+     "default 1 = all); needs --trace-out"},
+    {"--obs-timeline", "P", &Flags::obs_timeline, kFleet, kAny,
+     "write the per-(epoch, tenant, stage) control-plane\n"
+     "timeline to P (.json or .csv); rows only appear\n"
+     "when --epoch-s is finite"},
+    {"--chaos", "SPEC", &Flags::chaos, kWorkload, kAny,
+     "deterministic chaos injection: a comma-separated\n"
+     "subset of failures,preemption,storms,flash — or\n"
+     "all, or none.  failures/preemption/storms act at\n"
+     "epoch barriers and need a finite --epoch-s; the\n"
+     "schedule is a pure function of (--seed,\n"
+     "--chaos-seed, tenant set), bit-identical at any\n"
+     "--shards"},
+    {"--chaos-seed", "N", &Flags::chaos_seed, kWorkload, kAny,
+     "chaos schedule seed (default 7), mixed with\n"
+     "--seed so one workload can face many schedules;\n"
+     "needs --chaos"},
+    {"--flash", "T0:T1:K", &Flags::flash, kWorkload, kAny,
+     "multiply every tenant's arrival rate by K over\n"
+     "[T0, T1) sim-seconds (composes with every\n"
+     "--arrivals kind; cannot be combined with --chaos\n"
+     "flash, which schedules its own windows)"},
+    {"--shard-slice", "LO:HI", &Flags::shard_slice, kFleet, kAny,
+     "worker mode: plan the whole fleet but simulate\n"
+     "only tenants [LO, HI) and write the slice blob to\n"
+     "--result-bin (static path only; see\n"
+     "--merge-slices)"},
+    {"--result-bin", "P", &Flags::result_bin, kFleet, kAny,
+     "slice blob output path (needs --shard-slice)"},
+    {"--merge-slices", "P", &Flags::merge_slices, kFleet, kAny,
+     "repeatable: decode the named slice blobs and\n"
+     "merge them (under this command line's fleet\n"
+     "config) into the ordinary fleet report —\n"
+     "bit-identical to an in-process run"},
+    {"--json", "", &Flags::json, kServe | kWorkload, kAny,
+     "machine-readable result on stdout"},
+    {"--step", "R", &Flags::step, kFrontier, kPositive,
+     "ramp increment in fleet req/s (required > 0):\n"
+     "points R, 2R, ... run until the SLO-met target is\n"
+     "first missed, then bisection pins the knee"},
+    {"--stop", "R", &Flags::stop, kFrontier, kPositive,
+     "ramp ceiling in req/s (default 8x --step); every\n"
+     "point sustaining marks the knee censored-high"},
+    {"--slo-target", "F", &Flags::slo_target, kFrontier, kFraction,
+     "fraction of requests that must meet their SLO for\n"
+     "a point to count as sustained (default 0.95)"},
+    {"--bisect", "N", &Flags::bisect, kFrontier, kNonNegative,
+     "bisection iterations inside the bracketed step\n"
+     "(default 6); knee resolution is step / 2^N"},
+    {"--json-out", "P", &Flags::json_out, kFrontier, kAny,
+     "write the frontier artifact (points + knee) as\n"
+     "JSON to P"},
+    {"--csv-out", "P", &Flags::csv_out, kFrontier, kAny,
+     "write the per-point frontier table as CSV to P"},
+    {"--log-level", "L", &Flags::log_level, kEvery, kAny,
+     "stderr diagnostics: debug|info|warn|error|off\n"
+     "(default warn)"},
+    {"--help", "", &Flags::help, kEvery, kAny, ""},  // named in the footer
+};
+
+/// States what a value of type T must be, for its error message.
+template <class T>
+std::string expectation(const Range& r) {
+  const auto num = [](double v) {
+    std::ostringstream out;
+    out << v;
+    return out.str();
+  };
+  std::string text = std::is_same_v<T, int>      ? "an integer"
+                     : !std::is_same_v<T, double> ? "a non-negative integer"
+                     : r.hi == kMax               ? "a finite number"
+                                                  : "a number";
+  if (r.lo == -kMax) return text;
+  if (r.hi == kMax || r.hi == kNoEpochs) {
+    return text + (r.lo_open ? " > " : " >= ") + num(r.lo) +
+           (r.hi == kNoEpochs ? " or inf" : "");
   }
-  if (used != text.size()) {
-    throw_invalid(std::string(flag) + " expects an integer: " + text);
-  }
-  return v;
+  return text + " in " + (r.lo_open ? "(" : "[") + num(r.lo) + ", " +
+         num(r.hi) + "]";
 }
 
-double parse_double(const std::string& text, const char* flag) {
+/// Strict numeric parsing: the whole token must be consumed and land in
+/// `range`, so "4x", "1e3" for an integer, "nan" or "inf" error instead
+/// of truncating or coercing.  `what` names the flag or positional.
+template <class T>
+T parse_as(const std::string& text, const std::string& what,
+           const Range& range) {
+  T value{};
   std::size_t used = 0;
-  double v = 0.0;
   try {
-    v = std::stod(text, &used);
+    if constexpr (std::is_same_v<T, int>) {
+      value = std::stoi(text, &used);
+    } else if constexpr (std::is_same_v<T, double>) {
+      value = std::stod(text, &used);
+    } else if (text.find_first_not_of("0123456789") == std::string::npos) {
+      // Plain decimal only: stoull would wrap "-1" into a huge value.
+      value = std::stoull(text, &used);
+    }
   } catch (const std::exception&) {
-    used = std::string::npos;
+    used = 0;
   }
-  if (used != text.size() || std::isnan(v)) {
-    throw_invalid(std::string(flag) + " expects a number: " + text);
+  const double v = static_cast<double>(value);
+  if (text.empty() || used != text.size() ||
+      !(range.lo_open ? v > range.lo : v >= range.lo) || !(v <= range.hi)) {
+    throw_invalid(what + " expects " + expectation<T>(range) + ": " + text);
   }
-  return v;
+  return value;
 }
 
-bool parse_flags(int argc, char** argv, int first, Flags& flags,
-                 std::vector<std::string>& positional) {
-  for (int i = first; i < argc; ++i) {
+template <class T>
+void assign(T& slot, const std::string& text, const FlagSpec& spec) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    slot = text;
+  } else {
+    slot = parse_as<T>(text, spec.name, spec.range);
+  }
+}
+template <class T>
+void assign(std::optional<T>& slot, const std::string& text,
+            const FlagSpec& spec) {
+  assign(slot.emplace(), text, spec);
+}
+void assign(std::vector<std::string>& slot, const std::string& text,
+            const FlagSpec&) {
+  slot.push_back(text);  // repeatable
+}
+
+/// Parses argv[2..] against kFlags into `flags`; everything that is not a
+/// flag (including negative numbers such as serve's "-1" SLO) goes to
+/// `positional`.  A flag that parses but does nothing is worse than an
+/// error, so a flag `command` does not take is rejected.
+void parse_flags(int argc, char** argv, const char* command, unsigned bit,
+                 Flags& flags, std::vector<std::string>& positional) {
+  for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
-    const auto value = [&](const char* what) -> std::string {
-      if (i + 1 >= argc) throw_invalid(std::string(what) + " needs a value");
-      return argv[++i];
-    };
-    if (arg == "--json") {
-      flags.json = true;
-    } else if (arg == "--help") {
-      flags.help = true;
-    } else if (arg == "--autoscale") {
-      flags.autoscale = true;
-    } else if (arg == "--trace") {
-      flags.trace = value("--trace");
-    } else if (arg == "--trace-out") {
-      flags.trace_out = value("--trace-out");
-    } else if (arg == "--obs-timeline") {
-      flags.obs_timeline = value("--obs-timeline");
-    } else if (arg == "--obs-sample") {
-      flags.obs_sample = parse_int(value("--obs-sample"), "--obs-sample");
-      if (flags.obs_sample < 1) {
-        throw_invalid("--obs-sample expects an integer >= 1");
-      }
-    } else if (arg == "--log-level") {
-      flags.log_level = value("--log-level");
-      // Validate and apply immediately: the level governs diagnostics from
-      // everything that runs after parsing, for every command.
-      set_log_level(log_level_from_string(flags.log_level));
-    } else if (arg == "--policy") {
-      flags.policy = value("--policy");
-    } else if (arg == "--contention-alpha") {
-      flags.contention_alpha =
-          parse_double(value("--contention-alpha"), "--contention-alpha");
-      if (flags.contention_alpha < 0.0) {
-        throw_invalid("--contention-alpha expects a number >= 0");
-      }
-    } else if (arg == "--nodes") {
-      flags.nodes = parse_int(value("--nodes"), "--nodes");
-    } else if (arg == "--node-mc") {
-      flags.node_mc = parse_int(value("--node-mc"), "--node-mc");
-    } else if (arg == "--epoch-s") {
-      const std::string text = value("--epoch-s");
-      if (text == "inf" || text == "infinity") {
-        flags.epoch_s = 0.0;  // explicit "never reconcile"
-      } else {
-        flags.epoch_s = parse_double(text, "--epoch-s");
-        if (flags.epoch_s <= 0.0) {
-          throw_invalid("--epoch-s expects a positive number or 'inf': " +
-                        text);
-        }
-      }
-    } else if (arg == "--seed") {
-      // stoull happily wraps "-1" into a huge unsigned value; reject
-      // anything that is not a plain decimal so typos surface.
-      const std::string text = value("--seed");
-      if (text.empty() ||
-          text.find_first_not_of("0123456789") != std::string::npos) {
-        throw_invalid("--seed expects a non-negative integer: " + text);
-      }
-      flags.seed = std::stoull(text);
-    } else if (arg == "--chaos") {
-      flags.chaos = value("--chaos");
-    } else if (arg == "--chaos-seed") {
-      const std::string text = value("--chaos-seed");
-      if (text.empty() ||
-          text.find_first_not_of("0123456789") != std::string::npos) {
-        throw_invalid("--chaos-seed expects a non-negative integer: " + text);
-      }
-      flags.chaos_seed = std::stoull(text);
-    } else if (arg == "--flash") {
-      flags.flash = value("--flash");
-    } else if (arg == "--tenants") {
-      flags.tenants = parse_int(value("--tenants"), "--tenants");
-    } else if (arg == "--requests") {
-      flags.requests = parse_int(value("--requests"), "--requests");
-    } else if (arg == "--shards") {
-      flags.shards = parse_int(value("--shards"), "--shards");
-    } else if (arg == "--stream") {
-      flags.stream = true;
-    } else if (arg == "--conc") {
-      flags.conc = value("--conc");
-    } else if (arg == "--hints-dir") {
-      flags.hints_dir = value("--hints-dir");
-    } else if (arg == "--shard-slice") {
-      flags.shard_slice = value("--shard-slice");
-    } else if (arg == "--result-bin") {
-      flags.result_bin = value("--result-bin");
-    } else if (arg == "--merge-slices") {
-      // Repeatable: --merge-slices a.bin --merge-slices b.bin ...
-      flags.merge_slices.push_back(value("--merge-slices"));
-    } else if (arg == "--rate") {
-      flags.rate = parse_double(value("--rate"), "--rate");
-    } else if (arg == "--slo-target") {
-      flags.slo_target = parse_double(value("--slo-target"), "--slo-target");
-      if (flags.slo_target <= 0.0 || flags.slo_target > 1.0) {
-        throw_invalid("--slo-target expects a fraction in (0, 1]");
-      }
-    } else if (arg == "--step") {
-      flags.step = parse_double(value("--step"), "--step");
-      if (flags.step <= 0.0) throw_invalid("--step expects a number > 0");
-    } else if (arg == "--stop") {
-      flags.stop = parse_double(value("--stop"), "--stop");
-      if (flags.stop <= 0.0) throw_invalid("--stop expects a number > 0");
-    } else if (arg == "--bisect") {
-      flags.bisect = parse_int(value("--bisect"), "--bisect");
-      if (flags.bisect < 0) throw_invalid("--bisect expects an integer >= 0");
-    } else if (arg == "--json-out") {
-      flags.json_out = value("--json-out");
-    } else if (arg == "--csv-out") {
-      flags.csv_out = value("--csv-out");
-    } else if (arg == "--arrivals") {
-      flags.arrivals = value("--arrivals");
-    } else if (arg.size() > 1 && arg[0] == '-' &&
-               !std::isdigit(static_cast<unsigned char>(arg[1])) &&
-               arg[1] != '.') {
-      // "-1" / "-0.5" are negative numeric positionals (e.g. serve's
-      // [slo] falls back to the workload default when <= 0), not flags.
-      std::fprintf(stderr, "janus_cli: unknown flag %s\n", arg.c_str());
-      return false;
-    } else {
+    if (arg.size() < 2 || arg[0] != '-' ||
+        std::isdigit(static_cast<unsigned char>(arg[1])) || arg[1] == '.') {
       positional.push_back(arg);
       continue;
     }
-    flags.seen.push_back(arg);
+    const auto spec =
+        std::find_if(std::begin(kFlags), std::end(kFlags),
+                     [&](const FlagSpec& f) { return arg == f.name; });
+    if (spec == std::end(kFlags)) throw UsageError("unknown flag " + arg);
+    if ((spec->commands & bit) == 0) {
+      throw UsageError("flag " + arg + " is not valid for janus_cli " +
+                       command);
+    }
+    std::visit(
+        [&](auto field) {
+          if constexpr (std::is_same_v<decltype(field), bool Flags::*>) {
+            flags.*field = true;
+          } else {
+            if (i + 1 >= argc) throw_invalid(arg + " needs a value");
+            assign(flags.*field, argv[++i], *spec);
+          }
+        },
+        spec->field);
   }
-  return true;
 }
 
-/// True when every flag the user passed is in `allowed`; complains about
-/// the first one that is not.
-bool flags_allowed(const Flags& flags,
-                   std::initializer_list<const char*> allowed) {
-  for (const auto& flag : flags.seen) {
-    bool ok = false;
-    for (const char* a : allowed) ok = ok || flag == a;
-    if (!ok) {
-      std::fprintf(stderr, "janus_cli: flag %s is not valid for this command\n",
-                   flag.c_str());
-      return false;
+/// Splits on `sep`, keeping empty segments ("a," -> {"a", ""}) so a stray
+/// separator errors like any other bad value instead of vanishing.
+std::vector<std::string> split(const std::string& text, char sep) {
+  std::vector<std::string> parts(1);
+  for (const char c : text) {
+    if (c == sep) {
+      parts.emplace_back();
+    } else {
+      parts.back() += c;
     }
   }
-  return true;
+  return parts;
 }
 
-void write_text(const std::string& path, const std::string& text) {
+std::string read_file(const std::string& path, const std::string& what) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw_invalid("cannot open " + what + ": " + path);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+/// Writes `bytes` to `path` and confirms on *stderr*, so --json keeps
+/// stdout as one machine-readable object.  The stream is closed before it
+/// is checked: a full device fails the flush of the buffered bytes, and
+/// that must fail the run.
+void write_file(const std::string& path, std::string_view bytes) {
   std::ofstream out(path, std::ios::binary);
-  if (!out) throw_invalid("cannot open for write: " + path);
-  out << text;
-  std::printf("wrote %s\n", path.c_str());
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  out.close();
+  if (out.fail()) throw std::runtime_error("cannot write " + path);
+  std::fprintf(stderr, "janus_cli: wrote %s (%zu bytes)\n", path.c_str(),
+               bytes.size());
 }
 
-/// True when `path` ends in `suffix` (artifact format dispatch).
-bool ends_with(const std::string& path, const char* suffix) {
-  const std::size_t len = std::strlen(suffix);
-  return path.size() >= len &&
-         path.compare(path.size() - len, len, suffix) == 0;
+bool ends_with(const std::string& path, const std::string& suffix) {
+  return path.size() >= suffix.size() &&
+         path.compare(path.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
 /// Writes an observability artifact, choosing the format by extension.
-/// The confirmation goes to *stderr*: with --json the artifact write must
-/// not corrupt the single machine-readable object on stdout.
 void write_artifact(const std::string& path, const char* what,
                     const std::string& json, const std::string& csv) {
-  if (!ends_with(path, ".json") && !ends_with(path, ".csv")) {
+  if (ends_with(path, ".json")) {
+    write_file(path, json);
+  } else if (ends_with(path, ".csv")) {
+    write_file(path, csv);
+  } else {
     throw_invalid(std::string(what) +
                   " path must end in .json or .csv: " + path);
   }
-  const std::string& text = ends_with(path, ".json") ? json : csv;
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw_invalid("cannot open for write: " + path);
-  out << text;
-  std::fprintf(stderr, "janus_cli: wrote %s (%zu bytes)\n", path.c_str(),
-               text.size());
 }
 
-int cmd_profile(const std::string& name, const std::string& dir) {
-  const WorkloadSpec workload = workload_by_name(name);
+using Args = std::vector<std::string>;
+
+int cmd_profile(const Flags&, const Args& pos) {
+  const WorkloadSpec workload = workload_by_name(pos[0]);
   const auto profiles =
       profile_workload(workload, default_profiler_config(workload));
   for (const auto& profile : profiles) {
-    write_text(dir + "/" + workload.name + "_" + profile.function_name() +
+    write_file(pos[1] + "/" + workload.name + "_" + profile.function_name() +
                    "_profile.csv",
                profile.to_csv());
   }
   return 0;
 }
 
-int cmd_synthesize(const std::string& name, const std::string& dir,
-                   double weight, Concurrency conc) {
-  const WorkloadSpec workload = workload_by_name(name);
+int cmd_synthesize(const Flags&, const Args& pos) {
+  const WorkloadSpec workload = workload_by_name(pos[0]);
+  const double weight =
+      pos.size() > 2 ? parse_as<double>(pos[2], "synthesize [weight]", kAny)
+                     : 1.0;
+  const Concurrency conc =
+      pos.size() > 3 ? parse_as<int>(pos[3], "synthesize [conc]", kAny) : 1;
   ProfilerConfig prof = default_profiler_config(workload);
   prof.grid.concurrencies = {conc};
   const auto profiles = profile_workload(workload, prof);
@@ -453,7 +467,7 @@ int cmd_synthesize(const std::string& name, const std::string& dir,
   // the committed tables back with `fleet --hints-dir <out-dir>` instead
   // of re-synthesizing in every process.
   for (std::size_t j = 0; j < bundle.suffix_tables.size(); ++j) {
-    write_text(dir + "/" +
+    write_file(pos[1] + "/" +
                    hints_bundle_filename(workload.name, conc,
                                          config.exploration, j),
                bundle.suffix_tables[j].to_csv());
@@ -461,12 +475,9 @@ int cmd_synthesize(const std::string& name, const std::string& dir,
   return 0;
 }
 
-int cmd_lookup(const std::string& path, BudgetMs budget) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw_invalid("cannot open: " + path);
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  const HintsTable table = HintsTable::from_csv(text);
+int cmd_lookup(const Flags&, const Args& pos) {
+  const BudgetMs budget = parse_as<int>(pos[1], "lookup <budget-ms>", kAny);
+  const HintsTable table = HintsTable::from_csv(read_file(pos[0], "table"));
   const auto result = table.lookup(budget);
   switch (result.kind) {
     case HintsTable::LookupKind::Hit:
@@ -483,9 +494,13 @@ int cmd_lookup(const std::string& path, BudgetMs budget) {
   return 0;
 }
 
-int cmd_serve(const std::string& name, int requests, Seconds slo,
-              const Flags& flags) {
-  const WorkloadSpec workload = workload_by_name(name);
+int cmd_serve(const Flags& flags, const Args& pos) {
+  const WorkloadSpec workload = workload_by_name(pos[0]);
+  const int requests =
+      pos.size() > 1 ? parse_as<int>(pos[1], "serve [requests]", kAny) : 500;
+  Seconds slo =
+      pos.size() > 2 ? parse_as<double>(pos[2], "serve [slo-seconds]", kAny)
+                     : 0.0;
   if (slo <= 0.0) slo = workload.slo(1);
   const auto profiles =
       profile_workload(workload, default_profiler_config(workload));
@@ -531,8 +546,7 @@ std::vector<double> load_trace_gaps(const std::string& source, double rate,
   if (source == "synth") {
     return synthesize_interarrivals(4096, rate, seed);
   }
-  std::ifstream in(source, std::ios::binary);
-  if (!in) throw_invalid("cannot open trace: " + source);
+  std::istringstream in(read_file(source, "trace"));
   std::vector<double> gaps;
   std::string line;
   while (std::getline(in, line)) {
@@ -556,70 +570,6 @@ std::vector<double> load_trace_gaps(const std::string& source, double rate,
   }
   require(!gaps.empty(), "trace file holds no inter-arrival gaps");
   return gaps;
-}
-
-/// Splits "--policy janus,orion,mean_based" into catalog names.  Unknown
-/// names (and empty segments) are rejected with a one-line error listing
-/// the valid set — exit 2, never a silent fallback.
-std::vector<std::string> parse_policies(const std::string& text) {
-  // Manual split (not getline): a trailing comma must yield an empty last
-  // segment and error like any other bad name, not vanish at EOF.
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  for (;;) {
-    const std::size_t comma = text.find(',', start);
-    const std::string cur = text.substr(
-        start, comma == std::string::npos ? std::string::npos : comma - start);
-    if (!is_fleet_policy(cur)) {
-      throw UnknownPolicyError("janus_cli: unknown policy '" + cur +
-                               "' (valid: " + fleet_policy_list() + ")");
-    }
-    out.push_back(cur);
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return out;
-}
-
-/// Splits "--conc 1,4,8" into per-tenant concurrency levels (each >= 1),
-/// dealt round-robin like --policy.
-std::vector<Concurrency> parse_concs(const std::string& text) {
-  std::vector<Concurrency> out;
-  std::size_t start = 0;
-  for (;;) {
-    const std::size_t comma = text.find(',', start);
-    const std::string cur = text.substr(
-        start, comma == std::string::npos ? std::string::npos : comma - start);
-    const int conc = parse_int(cur, "--conc");
-    if (conc < 1) throw_invalid("--conc levels must be >= 1: " + cur);
-    out.push_back(conc);
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return out;
-}
-
-/// Parses "--shard-slice LO:HI" into a half-open tenant range.
-std::pair<std::size_t, std::size_t> parse_slice(const std::string& text) {
-  const std::size_t colon = text.find(':');
-  if (colon == std::string::npos) {
-    throw_invalid("--shard-slice expects LO:HI (half-open tenant range): " +
-                  text);
-  }
-  const int lo = parse_int(text.substr(0, colon), "--shard-slice LO");
-  const int hi = parse_int(text.substr(colon + 1), "--shard-slice HI");
-  if (lo < 0 || hi <= lo) {
-    throw_invalid("--shard-slice expects 0 <= LO < HI: " + text);
-  }
-  return {static_cast<std::size_t>(lo), static_cast<std::size_t>(hi)};
-}
-
-std::vector<std::uint8_t> read_binary(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw_invalid("cannot open slice blob: " + path);
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  return std::vector<std::uint8_t>(text.begin(), text.end());
 }
 
 /// Assembles the FleetConfig described by the shared workload flags —
@@ -650,16 +600,15 @@ FleetConfig build_fleet_config(const Flags& flags) {
                   "cannot be combined with --arrivals " +
                   flags.arrivals);
   }
-  // Keyed off the *presence* of --policy, not the value: `--policy ""`
-  // must error like any other invalid name, not fall back to fixed.
-  const bool policy_given =
-      std::find(flags.seen.begin(), flags.seen.end(), "--policy") !=
-      flags.seen.end();
-  const std::vector<std::string> policies =
-      policy_given ? parse_policies(flags.policy)
-                   : std::vector<std::string>{};
-  // Bad values (e.g. --requests 0) error in make_tenant_mix rather than
-  // silently falling back to a default.
+  // Unknown names (and empty segments) are usage errors listing the valid
+  // set — never a silent fallback.
+  const Args policies = flags.policy ? split(*flags.policy, ',') : Args{};
+  for (const std::string& name : policies) {
+    if (!is_fleet_policy(name)) {
+      throw UsageError("unknown policy '" + name +
+                       "' (valid: " + fleet_policy_list() + ")");
+    }
+  }
   config.tenants =
       make_tenant_mix(flags.tenants, flags.requests, flags.rate,
                       flags.trace.empty() ? kind : ArrivalKind::Poisson,
@@ -670,7 +619,11 @@ FleetConfig build_fleet_config(const Flags& flags) {
     }
   }
   if (!flags.conc.empty()) {
-    const std::vector<Concurrency> concs = parse_concs(flags.conc);
+    // Levels are dealt round-robin like --policy.
+    std::vector<Concurrency> concs;
+    for (const std::string& level : split(flags.conc, ',')) {
+      concs.push_back(parse_as<int>(level, "--conc", kAtLeastOne));
+    }
     for (std::size_t t = 0; t < config.tenants.size(); ++t) {
       // Clamp to the workload's batching ceiling (VA's FE/ICO stages are
       // non-batchable, so a mixed sweep would otherwise be unrunnable).
@@ -701,35 +654,26 @@ FleetConfig build_fleet_config(const Flags& flags) {
   config.seed = flags.seed;
   config.cluster.nodes = flags.nodes;
   config.cluster.node_capacity_mc = flags.node_mc;
-  if (flags.epoch_s > 0.0) config.epoch_s = flags.epoch_s;
+  config.epoch_s = flags.epoch_s;
   config.autoscale.enabled = flags.autoscale;
-  const bool chaos_seed_given =
-      std::find(flags.seen.begin(), flags.seen.end(), "--chaos-seed") !=
-      flags.seen.end();
-  const bool chaos_given =
-      std::find(flags.seen.begin(), flags.seen.end(), "--chaos") !=
-      flags.seen.end();
-  // Keyed on flag presence, not spec emptiness: `--chaos ""` must be the
-  // one-line usage error (chaos_config_from_spec rejects empty specs),
-  // never a silent calm run.
-  if (chaos_given) {
+  if (flags.chaos) {
     try {
-      config.chaos = chaos_config_from_spec(flags.chaos);
+      config.chaos = chaos_config_from_spec(*flags.chaos);
     } catch (const std::invalid_argument&) {
       // Same contract as --policy: an enumerable argument outside its
-      // valid set is a one-line usage-class error, exit 2.
-      throw UnknownPolicyError(
-          "janus_cli: unknown --chaos '" + flags.chaos +
+      // valid set is a usage error.
+      throw UsageError(
+          "unknown --chaos '" + *flags.chaos +
           "' (a comma-separated subset of failures, preemption, storms, "
           "flash — or all, or none)");
     }
-    config.chaos.seed = flags.chaos_seed;
-    if (config.chaos.needs_epochs() && flags.epoch_s <= 0.0) {
+    if (flags.chaos_seed) config.chaos.seed = *flags.chaos_seed;
+    if (config.chaos.needs_epochs() && flags.epoch_s == kNoEpochs) {
       throw_invalid(
           "--chaos failures/preemption/storms act at epoch barriers; add "
           "a finite --epoch-s");
     }
-  } else if (chaos_seed_given) {
+  } else if (flags.chaos_seed) {
     throw_invalid("--chaos-seed needs --chaos");
   }
   if (!flags.flash.empty()) {
@@ -737,21 +681,17 @@ FleetConfig build_fleet_config(const Flags& flags) {
       throw_invalid("--flash cannot be combined with --chaos flash (the "
                     "chaos engine schedules its own windows)");
     }
-    // "T0:T1:K" — window bounds validated by make_arrivals in run_fleet;
-    // only the shape is parsed here.
-    const std::size_t c1 = flags.flash.find(':');
-    const std::size_t c2 =
-        c1 == std::string::npos ? std::string::npos
-                                : flags.flash.find(':', c1 + 1);
-    if (c2 == std::string::npos) {
+    // "T0:T1:K" — the window itself is validated with the arrival spec in
+    // run_fleet; only the shape and finiteness are checked here.
+    const Args window = split(flags.flash, ':');
+    if (window.size() != 3) {
       throw_invalid("--flash expects T0:T1:K (seconds, seconds, "
                     "multiplier): " +
                     flags.flash);
     }
-    const double t0 = parse_double(flags.flash.substr(0, c1), "--flash T0");
-    const double t1 =
-        parse_double(flags.flash.substr(c1 + 1, c2 - c1 - 1), "--flash T1");
-    const double k = parse_double(flags.flash.substr(c2 + 1), "--flash K");
+    const double t0 = parse_as<double>(window[0], "--flash T0", kAny);
+    const double t1 = parse_as<double>(window[1], "--flash T1", kAny);
+    const double k = parse_as<double>(window[2], "--flash K", kAny);
     for (auto& tenant : config.tenants) {
       tenant.arrivals.flash_t0_s = t0;
       tenant.arrivals.flash_t1_s = t1;
@@ -768,7 +708,7 @@ FleetConfig build_fleet_config(const Flags& flags) {
   return config;
 }
 
-int cmd_fleet(const Flags& flags) {
+int cmd_fleet(const Flags& flags, const Args&) {
   const FleetConfig config = build_fleet_config(flags);
   if (!flags.shard_slice.empty() && !flags.merge_slices.empty()) {
     throw_invalid("--shard-slice (produce a blob) and --merge-slices "
@@ -785,17 +725,21 @@ int cmd_fleet(const Flags& flags) {
       throw_invalid("--shard-slice writes a binary slice blob; --json / "
                     "--trace-out / --obs-timeline apply to --merge-slices");
     }
-    const auto [lo, hi] = parse_slice(flags.shard_slice);
-    const FleetSliceOutcome slice = run_fleet_slice(config, lo, hi);
-    const std::vector<std::uint8_t> blob = encode_slice(slice);
-    std::ofstream out(flags.result_bin, std::ios::binary);
-    if (!out) throw_invalid("cannot open for write: " + flags.result_bin);
-    out.write(reinterpret_cast<const char*>(blob.data()),
-              static_cast<std::streamsize>(blob.size()));
-    if (!out.good()) throw_invalid("short write: " + flags.result_bin);
-    std::fprintf(stderr, "janus_cli: wrote slice [%zu, %zu) to %s (%zu "
-                 "bytes)\n",
-                 lo, hi, flags.result_bin.c_str(), blob.size());
+    const Args range = split(flags.shard_slice, ':');
+    if (range.size() != 2) {
+      throw_invalid("--shard-slice expects LO:HI (half-open tenant range): " +
+                    flags.shard_slice);
+    }
+    const int lo = parse_as<int>(range[0], "--shard-slice LO", kAny);
+    const int hi = parse_as<int>(range[1], "--shard-slice HI", kAny);
+    if (lo < 0 || hi <= lo) {
+      throw_invalid("--shard-slice expects 0 <= LO < HI: " +
+                    flags.shard_slice);
+    }
+    const std::vector<std::uint8_t> blob =
+        encode_slice(run_fleet_slice(config, lo, hi));
+    write_file(flags.result_bin,
+               {reinterpret_cast<const char*>(blob.data()), blob.size()});
     return 0;
   }
   if (!flags.result_bin.empty()) {
@@ -806,7 +750,9 @@ int cmd_fleet(const Flags& flags) {
     std::vector<FleetSliceOutcome> slices;
     slices.reserve(flags.merge_slices.size());
     for (const std::string& path : flags.merge_slices) {
-      slices.push_back(decode_slice(read_binary(path)));
+      const std::string blob = read_file(path, "slice blob");
+      slices.push_back(decode_slice(
+          reinterpret_cast<const std::uint8_t*>(blob.data()), blob.size()));
     }
     result = merge_fleet_slices(config, std::move(slices));
   } else {
@@ -868,35 +814,23 @@ int cmd_fleet(const Flags& flags) {
   return 0;
 }
 
-int cmd_frontier(const Flags& flags) {
-  if (flags.step <= 0.0) {
-    // Usage-class error (exit 2, one line), like an unknown policy: the
-    // command line is wrong, not the run.
-    std::fprintf(stderr,
-                 "janus_cli: frontier needs --step R (ramp increment in "
-                 "req/s)\n");
-    return 2;
+int cmd_frontier(const Flags& flags, const Args&) {
+  if (!flags.step) {
+    throw UsageError("frontier needs --step R (ramp increment in req/s)");
   }
   FrontierConfig config;
   config.fleet = build_fleet_config(flags);
   config.slo_target = flags.slo_target;
-  config.step_rps = flags.step;
-  config.stop_rps = flags.stop > 0.0 ? flags.stop : 8.0 * flags.step;
+  config.step_rps = *flags.step;
+  config.stop_rps = flags.stop.value_or(8.0 * *flags.step);
   config.bisect_iters = flags.bisect;
 
   const FrontierResult result = explore_frontier(config);
 
   // Artifacts first (confirmations on stderr), so --json keeps stdout as
   // one machine-readable object.
-  const auto write_out = [](const std::string& path, const std::string& text) {
-    std::ofstream out(path, std::ios::binary);
-    if (!out) throw_invalid("cannot open for write: " + path);
-    out << text;
-    std::fprintf(stderr, "janus_cli: wrote %s (%zu bytes)\n", path.c_str(),
-                 text.size());
-  };
-  if (!flags.json_out.empty()) write_out(flags.json_out, result.to_json());
-  if (!flags.csv_out.empty()) write_out(flags.csv_out, result.to_csv());
+  if (!flags.json_out.empty()) write_file(flags.json_out, result.to_json());
+  if (!flags.csv_out.empty()) write_file(flags.csv_out, result.to_csv());
 
   if (flags.json) {
     std::printf("%s", result.to_json().c_str());
@@ -936,75 +870,123 @@ int cmd_frontier(const Flags& flags) {
   return 0;
 }
 
+struct CommandSpec {
+  const char* name;
+  unsigned bit;
+  std::size_t min_args;  // positional argument count
+  std::size_t max_args;
+  const char* synopsis;
+  int (*run)(const Flags&, const Args&);
+};
+
+const CommandSpec kCommands[] = {
+    {"profile", kProfile, 2, 2, "<ia|va> <out-dir>", cmd_profile},
+    {"synthesize", kSynthesize, 2, 4, "<ia|va> <out-dir> [weight] [conc]",
+     cmd_synthesize},
+    {"lookup", kLookup, 2, 2, "<hints.csv> <budget-ms>", cmd_lookup},
+    {"serve", kServe, 1, 3, "<ia|va> [requests] [slo-seconds]", cmd_serve},
+    {"fleet", kFleet, 0, 0, "[flags]", cmd_fleet},
+    {"frontier", kFrontier, 0, 0, "--step R [flags]", cmd_frontier},
+};
+
+/// "--name ARG", as usage lines and help rows spell a flag.
+std::string spelled(const FlagSpec& f) {
+  return std::string(f.name) + (*f.arg ? " " : "") + f.arg;
+}
+
+/// "janus_cli <name> <synopsis>"; a command without a help section of its
+/// own (every one but fleet and frontier) lists its flags inline.
+std::string usage_line(const CommandSpec& c) {
+  std::string line = std::string("janus_cli ") + c.name + " " + c.synopsis;
+  if ((c.bit & kWorkload) != 0) return line;
+  for (const FlagSpec& f : kFlags) {
+    if ((f.commands & c.bit) != 0 && f.commands != kEvery) {
+      line += " [" + spelled(f) + "]";
+    }
+  }
+  return line;
+}
+
+/// The help rows of every listed flag whose command bits `pick` accepts.
+template <class Pick>
+std::string flag_rows(Pick pick) {
+  const std::string indent(18, ' ');
+  std::string text;
+  for (const FlagSpec& f : kFlags) {
+    if (*f.help == '\0' || !pick(f.commands)) continue;
+    const std::string head = spelled(f);
+    text += "  " + head +
+            (head.size() < 16 ? std::string(16 - head.size(), ' ')
+                              : "\n" + indent);
+    for (const char* c = f.help; *c != '\0'; ++c) {
+      text += *c;
+      if (*c == '\n') text += indent;
+    }
+    text += '\n';
+  }
+  return text;
+}
+
+int print_help() {
+  std::string text = "usage:\n";
+  for (const CommandSpec& c : kCommands) text += "  " + usage_line(c) + "\n";
+  text += "\nfleet flags (sharded multi-tenant simulation):\n";
+  text += flag_rows([](unsigned c) { return (c & kFleet) && c != kEvery; });
+  // The frontier header names the fleet flags it shares, wrapped.
+  text += "\nfrontier flags (latency-throughput frontier explorer; accepts "
+          "the\n";
+  std::string line = "fleet workload flags above — ";
+  for (const FlagSpec& f : kFlags) {
+    if ((f.commands & kWorkload) != kWorkload || f.commands == kEvery) {
+      continue;
+    }
+    if (line.size() + std::char_traits<char>::length(f.name) > 64) {
+      text += line + "\n";
+      line.clear();
+    }
+    line += std::string(f.name + 2) + "/";
+  }
+  line.pop_back();
+  text += line + " — plus):\n";
+  text += flag_rows([](unsigned c) { return c == kFrontier; });
+  text += "\nglobal flags:\n";
+  text += flag_rows([](unsigned c) { return c == kEvery; });
+  text += "\n`janus_cli help` (or --help) prints this text.\n";
+  const std::size_t at = text.find("%s");
+  text.replace(at, 2, fleet_policy_list());
+  std::fputs(text.c_str(), stdout);
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) return usage();
-  const std::string cmd = argv[1];
   try {
+    if (argc < 2) throw UsageError("missing command (see janus_cli help)");
+    const std::string cmd = argv[1];
+    if (cmd == "help" || cmd == "--help") return print_help();
+    const auto command =
+        std::find_if(std::begin(kCommands), std::end(kCommands),
+                     [&](const CommandSpec& c) { return cmd == c.name; });
+    if (command == std::end(kCommands)) {
+      throw UsageError("unknown command '" + cmd + "' (see janus_cli help)");
+    }
     Flags flags;
-    std::vector<std::string> pos;
-    if (cmd == "help" || cmd == "--help") return usage(stdout);
-    if (!parse_flags(argc, argv, 2, flags, pos)) return usage();
-    if (flags.help) return usage(stdout);
-    if (cmd == "profile" && pos.size() == 2) {
-      if (!flags_allowed(flags, {"--log-level"})) return usage();
-      return cmd_profile(pos[0], pos[1]);
+    Args pos;
+    parse_flags(argc, argv, command->name, command->bit, flags, pos);
+    if (flags.help) return print_help();
+    if (!flags.log_level.empty()) {
+      set_log_level(log_level_from_string(flags.log_level));
     }
-    if (cmd == "synthesize" && pos.size() >= 2) {
-      if (!flags_allowed(flags, {"--log-level"})) return usage();
-      const double weight = pos.size() > 2 ? std::stod(pos[2]) : 1.0;
-      const Concurrency conc = pos.size() > 3 ? std::stoi(pos[3]) : 1;
-      return cmd_synthesize(pos[0], pos[1], weight, conc);
+    if (pos.size() < command->min_args || pos.size() > command->max_args) {
+      throw UsageError("usage: " + usage_line(*command));
     }
-    if (cmd == "lookup" && pos.size() == 2) {
-      if (!flags_allowed(flags, {"--log-level"})) return usage();
-      return cmd_lookup(pos[0], std::stoll(pos[1]));
-    }
-    if (cmd == "serve" && pos.size() >= 1) {
-      if (!flags_allowed(flags, {"--seed", "--json", "--log-level"})) {
-        return usage();
-      }
-      const int requests = pos.size() > 1 ? std::stoi(pos[1]) : 500;
-      const Seconds slo = pos.size() > 2 ? std::stod(pos[2]) : 0.0;
-      return cmd_serve(pos[0], requests, slo, flags);
-    }
-    if (cmd == "fleet" && pos.empty()) {
-      if (!flags_allowed(flags, {"--tenants", "--requests", "--shards",
-                                 "--stream", "--conc",
-                                 "--hints-dir", "--shard-slice",
-                                 "--result-bin", "--merge-slices",
-                                 "--seed", "--rate", "--arrivals", "--trace",
-                                 "--nodes", "--node-mc", "--epoch-s",
-                                 "--autoscale", "--policy",
-                                 "--contention-alpha", "--json",
-                                 "--trace-out", "--obs-timeline",
-                                 "--obs-sample", "--chaos", "--chaos-seed",
-                                 "--flash", "--log-level"})) {
-        return usage();
-      }
-      return cmd_fleet(flags);
-    }
-    if (cmd == "frontier" && pos.empty()) {
-      if (!flags_allowed(flags, {"--tenants", "--requests", "--shards",
-                                 "--stream", "--conc",
-                                 "--hints-dir", "--seed", "--rate",
-                                 "--arrivals", "--trace", "--nodes",
-                                 "--node-mc", "--epoch-s", "--autoscale",
-                                 "--policy", "--contention-alpha", "--chaos",
-                                 "--chaos-seed", "--flash", "--slo-target",
-                                 "--step", "--stop", "--bisect", "--json",
-                                 "--json-out", "--csv-out", "--log-level"})) {
-        return usage();
-      }
-      return cmd_frontier(flags);
-    }
-  } catch (const UnknownPolicyError& e) {
-    std::fprintf(stderr, "%s\n", e.what());
+    return command->run(flags, pos);
+  } catch (const UsageError& e) {
+    std::fprintf(stderr, "janus_cli: %s\n", e.what());
     return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "janus_cli: %s\n", e.what());
     return 1;
   }
-  return usage();
 }
